@@ -16,7 +16,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -265,19 +264,14 @@ def _cmd_check_prelopology(args, report: RunReport, rng) -> int:
     return EXIT_OK if outcome.ok else EXIT_FAIL
 
 
-def _run_sheaf_methods(f, cov, methods, rng, jobs):
+def _run_sheaf_methods(f, cov, methods, rng):
     order = list(methods)
     rng.shuffle(order)
     table = {
         "equalizer": check_sheaf_equalizer,
         "orthogonal": check_sheaf_orthogonal,
     }
-    if jobs > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {m: pool.submit(table[m], f, cov) for m in order}
-            results = {m: fut.result() for m, fut in futures.items()}
-    else:
-        results = {m: table[m](f, cov) for m in order}
+    results = {m: table[m](f, cov) for m in order}
     return {m: results[m] for m in methods}
 
 
@@ -289,7 +283,7 @@ def _cmd_check_sheaf(args, report: RunReport, rng) -> int:
     cov = _load_coverage(cov_raw, site, q, comps, report)
     f = _load_presheaf(p_raw, site, report)
     methods = ["equalizer", "orthogonal"] if args.method == "both" else [args.method]
-    results = _run_sheaf_methods(f, cov, methods, rng, args.jobs)
+    results = _run_sheaf_methods(f, cov, methods, rng)
     for name, outcome in results.items():
         witness = f"verdict: {outcome.verdict}"
         if outcome.witness:
@@ -367,9 +361,9 @@ def _cmd_sub(args, report: RunReport, rng) -> int:
     battery = enumerate_sheaves(site, cov, max_size=2)
     cells = [(i, j) for i in range(len(lattice.members)) for j in range(len(lattice.members))]
     rng.shuffle(cells)
-
-    def entry(cell):
-        i, j = cell
+    table = {}
+    certified = True
+    for i, j in cells:
         fact = star(
             lattice.inclusions[i],
             lattice.inclusions[j],
@@ -377,18 +371,8 @@ def _cmd_sub(args, report: RunReport, rng) -> int:
             lattice=lattice,
             battery=battery,
         )
-        return cell, lattice.index_of(fact.mono.src), fact.epi_certified
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(entry, cells))
-    else:
-        outcomes = [entry(c) for c in cells]
-    table = {}
-    certified = True
-    for (i, j), k, cert in sorted(outcomes):
-        table[f"S{i}*S{j}"] = f"S{k}"
-        certified = certified and cert
+        table[f"S{i}*S{j}"] = f"S{lattice.index_of(fact.mono.src)}"
+        certified = certified and fact.epi_certified
     report.configuration["star"] = table
     report.add(
         "star-table",
@@ -464,9 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shuffle the execution order of independent checks (results are"
         " order-independent)",
-    )
-    common.add_argument(
-        "--jobs", type=int, default=1, help="cap on internal parallelism"
     )
 
     parser = argparse.ArgumentParser(
@@ -578,7 +559,6 @@ def main(argv=None) -> int:
         "instance": getattr(args, "instance", None),
         "size_bound": getattr(args, "size_bound", None),
         "seed": args.seed,
-        "jobs": args.jobs,
     }
     report = RunReport(args.command, configuration)
     rng = random.Random(args.seed)

@@ -354,78 +354,89 @@ def hasse_edges(site: ThinCategory):
     return edges
 
 
-def _descending_objects(site: ThinCategory):
-    """A linear extension listing every object before anything below it."""
+def site_order(site: ThinCategory):
+    """Objects bottom-up and their Hasse neighbours, from one Hasse scan.
+
+    Returns ``(order, downs, ups)``. ``order`` sorts the objects by the
+    size of their down-set, then by name, so everything below an object
+    comes before it. ``downs[cu]`` and ``ups[cu]`` list the objects just
+    below and just above the object named ``cu``, in `hasse_edges` order.
+    """
     objs = site.objects()
-    remaining = list(objs)
-    out = []
-    while remaining:
-        for u in remaining:
-            if all(
-                not site.leq(u, v) or canon(v) == canon(u) for v in remaining
-            ):
-                out.append(u)
-                remaining.remove(u)
-                break
+    below = {
+        canon(u): frozenset(canon(v) for v in objs if site.leq(v, u))
+        for u in objs
+    }
+    if len(set(below.values())) < len(below):
+        raise InvalidSpec("site order is not antisymmetric")
+    order = sorted(objs, key=lambda u: (len(below[canon(u)]), canon(u)))
+    downs = {cu: [] for cu in below}
+    ups = {cu: [] for cu in below}
+    for v, u in hasse_edges(site):
+        downs[canon(u)].append(v)
+        ups[canon(v)].append(u)
+    return order, downs, ups
+
+
+def backtrack(slots: int, options):
+    """Every tuple filling slots ``0..slots-1`` in turn, depth first.
+
+    ``options(k, chosen)`` gives the values slot ``k`` may take, where
+    ``chosen`` holds the values of slots ``0..k-1``. It may be a
+    generator: it is resumed for its next value only after every tuple
+    extending the current one has been yielded, so it can keep state
+    between its yields. Tuples come out in the order the values do.
+    """
+    if not slots:
+        yield ()
+        return
+    end = object()
+    chosen = []
+    pending = [iter(options(0, chosen))]
+    while pending:
+        k = len(pending) - 1
+        del chosen[k:]
+        x = next(pending[-1], end)
+        if x is end:
+            pending.pop()
+            continue
+        chosen.append(x)
+        if k + 1 == slots:
+            yield tuple(chosen)
         else:
-            raise InvalidSpec("site order is not antisymmetric")
-    return out
+            pending.append(iter(options(k + 1, chosen)))
 
 
 def hom_presheaves(f: Presheaf, g: Presheaf) -> list:
     """All natural transformations f -> g, via downward fiber filtering."""
     if f.site != g.site:
         raise SiteMismatch("hom needs presheaves on one site")
-    site = f.site
-    order = _descending_objects(site)
-    ups = {
-        canon(v): [u for (v2, u) in hasse_edges(site) if canon(v2) == canon(v)]
-        for v in site.objects()
-    }
-    results = []
-    assignment = {}
+    order, _, ups = site_order(f.site)
+    order.reverse()
+    names = [canon(v) for v in order]
+    slot = {cv: k for k, cv in enumerate(names)}
 
-    def extend(k):
-        if k == len(order):
-            results.append(
-                PresheafMorphism(f, g, dict(assignment), check=False)
-            )
-            return
+    def components(k, chosen):
         v = order[k]
-        cv = canon(v)
-        fibers = []
-        for x in f.value(v):
-            forced = None
-            ok = True
-            for u in ups[cv]:
-                comp_u = assignment[canon(u)]
-                fv, gv = f.restrict(v, u), g.restrict(v, u)
-                for y in f.value(u):
-                    if fv(y) != x:
-                        continue
-                    want = gv(comp_u(y))
-                    if forced is None:
-                        forced = want
-                    elif forced != want:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                fibers.append((x, []))
-            elif forced is not None:
-                fibers.append((x, [forced]))
-            else:
-                fibers.append((x, list(g.value(v))))
-        if any(not cands for _, cands in fibers):
-            return
-        for combo in itertools.product(*(c for _, c in fibers)):
-            table = {x: y for (x, _), y in zip(fibers, combo)}
-            assignment[cv] = FinMap(f.value(v), g.value(v), table)
-            extend(k + 1)
-        assignment.pop(cv, None)
+        forced = {}
+        for u in ups[canon(v)]:
+            fvu, gvu = f.restrict(v, u), g.restrict(v, u)
+            comp_u = chosen[slot[canon(u)]]
+            for y in f.value(u):
+                want = gvu(comp_u(y))
+                if forced.setdefault(fvu(y), want) != want:
+                    return
+        fibers = [
+            [forced[x]] if x in forced else g.value(v).elements
+            for x in f.value(v)
+        ]
+        for combo in itertools.product(*fibers):
+            yield FinMap(f.value(v), g.value(v), dict(zip(f.value(v), combo)))
 
-    extend(0)
+    results = [
+        PresheafMorphism(f, g, dict(zip(names, comps)), check=False)
+        for comps in backtrack(len(order), components)
+    ]
     results.sort(key=lambda m: m._key)
     return results
 
@@ -618,7 +629,3 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
         comps[cw] = FinMap(at[cw], target_y.value(w), table)
     canonical = PresheafMorphism(s, target_y, comps)
     return Sieve(cover, s, canonical)
-
-
-def is_mono(m: PresheafMorphism) -> bool:
-    return m.is_mono()

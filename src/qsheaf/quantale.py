@@ -13,7 +13,6 @@ the derived flags. `build_standard` produces the bundled families.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -420,12 +419,3 @@ def build_standard(name: str, param: int) -> Quantale:
     out = validate_quantale(STANDARD[name](param))
     assert isinstance(out, Quantale), f"bundled {name}({param}) failed validation"
     return out
-
-
-def quantale_from_json(path: str) -> dict:
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"{path}: invalid JSON at line {exc.lineno}") from exc
-    return raw

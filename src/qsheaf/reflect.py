@@ -25,7 +25,7 @@ from .errors import (
     SiteMismatch,
     UnverifiedInput,
 )
-from .finset import FinMap, FinSetObj, label_key
+from .finset import FinMap, FinSetObj, UnionFind, label_key
 from .moncat import canon
 from .presheaf import (
     Presheaf,
@@ -33,10 +33,11 @@ from .presheaf import (
     day_convolve,
     day_projection1,
     day_projection2,
-    hasse_edges,
+    backtrack,
     hom_presheaves,
     identity_morphism,
     iso_presheaves,
+    site_order,
     terminal_presheaf,
 )
 from .quantale import _closure, parse_raw
@@ -47,26 +48,6 @@ from .sheaf import (
     check_sheaf_orthogonal,
     compatible_families,
 )
-
-
-class _DSU:
-    """Index-based union-find; roots are the least index of each class."""
-
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
 
 
 @dataclass
@@ -116,7 +97,7 @@ def _forcing_step(f: Presheaf, exist, unify):
             if site.leq(u, target):
                 tags.append(("g", k))
         index = {t: i for i, t in enumerate(tags)}
-        dsu = _DSU(len(tags))
+        dsu = UnionFind(range(len(tags)))
         for k, (target, legs, fam) in enumerate(exist):
             if not site.leq(u, target):
                 continue
@@ -210,22 +191,12 @@ def sheafify(f: Presheaf, coverage: Coverage, max_iter: int = 16) -> ReflectionR
 # the battery: every small sheaf, enumerated bottom-up
 
 
-def _ascending_objects(site):
-    objs = list(site.objects())
-    rank = {canon(u): sum(1 for v in objs if site.leq(v, u)) for u in objs}
-    return sorted(objs, key=lambda u: (rank[canon(u)], canon(u)))
-
-
 def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     """All sheaf tables with value sets of at most the given size."""
     if site != coverage.site:
         raise SiteMismatch("coverage lives on a different site")
     labels = [f"v{i}" for i in range(max_size)]
-    order = _ascending_objects(site)
-    children = {
-        canon(u): [v for (v, u2) in hasse_edges(site) if canon(u2) == canon(u)]
-        for u in order
-    }
+    order, children, _ = site_order(site)
     covers_by_target = {
         canon(u): [
             c for c in coverage.all_families() if canon(c.target) == canon(u)
@@ -233,7 +204,6 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
         for u in order
     }
     at, res = {}, {}
-    results = []
 
     def rst(w, u):
         cw, cu = canon(w), canon(u)
@@ -254,78 +224,67 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
                 [site.tensor_obj(a.dom, b.dom) for b in legs] for a in legs
             ]
 
-            def families(k, chosen):
-                if k == len(legs):
-                    yield tuple(chosen)
-                    return
-                for x in at[canon(legs[k].dom)]:
-                    if all(
-                        rst(overlaps[i][k], legs[i].dom)(chosen[i])
-                        == rst(overlaps[i][k], legs[k].dom)(x)
-                        for i in range(k)
-                    ):
-                        chosen.append(x)
-                        yield from families(k + 1, chosen)
-                        chosen.pop()
+            def agree(i, k, xi, xk):
+                t = overlaps[i][k]
+                return rst(t, legs[i].dom)(xi) == rst(t, legs[k].dom)(xk)
 
-            if any(fam not in buckets for fam in families(0, [])):
+            def sections(k, chosen):
+                return [
+                    x
+                    for x in at[canon(legs[k].dom)]
+                    if all(agree(i, k, xi, x) for i, xi in enumerate(chosen))
+                ]
+
+            families = backtrack(len(legs), sections)
+            if any(fam not in buckets for fam in families):
                 return False
         return True
 
-    def rec(k):
-        if k == len(order):
-            results.append(Presheaf(site, dict(at), dict(res)))
-            return
+    def tables(k, chosen):
+        """Value sets and restrictions at order[k] that keep a sheaf so far.
+
+        Each value is yielded with its tables entered in ``at`` and
+        ``res``, and removed again before the next one.
+        """
         u = order[k]
         cu = canon(u)
-        strict_below = [
-            w for w in order[:k] if site.leq(w, u) and canon(w) != cu
-        ]
+        strict_below = [w for w in order[:k] if site.leq(w, u)]
         kids = children[cu]
         for size in range(max_size + 1):
             at[cu] = FinSetObj(labels[:size])
-            options = []
-            for v in kids:
-                tables = [
-                    dict(zip(at[cu].elements, targets))
-                    for targets in itertools.product(
-                        at[canon(v)].elements, repeat=size
-                    )
+            options = [
+                [
+                    FinMap(at[cu], at[canon(v)], dict(zip(at[cu], targets)))
+                    for targets in itertools.product(at[canon(v)], repeat=size)
                 ]
-                options.append(
-                    [FinMap(at[cu], at[canon(v)], t) for t in tables]
-                )
+                for v in kids
+            ]
             for combo in itertools.product(*options):
-                added = []
-                consistent = True
                 for v, m in zip(kids, combo):
                     res[(canon(v), cu)] = m
-                    added.append((canon(v), cu))
+                consistent = True
                 for w in strict_below:
-                    cw = canon(w)
-                    if (cw, cu) in res:
+                    if (canon(w), cu) in res:
                         continue
-                    derived = None
-                    for v, m in zip(kids, combo):
-                        if not site.leq(w, v):
-                            continue
-                        cand = finset.compose(rst(w, v), m)
-                        if derived is None:
-                            derived = cand
-                        elif derived != cand:
-                            consistent = False
-                            break
-                    if not consistent:
+                    derived = {
+                        finset.compose(rst(w, v), m)
+                        for v, m in zip(kids, combo)
+                        if site.leq(w, v)
+                    }
+                    if len(derived) > 1:
+                        consistent = False
                         break
-                    res[(cw, cu)] = derived
-                    added.append((cw, cu))
+                    res[(canon(w), cu)] = derived.pop()
                 if consistent and sheaf_ok_at(u):
-                    rec(k + 1)
-                for key in added:
-                    res.pop(key, None)
+                    yield combo
+                for w in strict_below:
+                    res.pop((canon(w), cu), None)
             del at[cu]
 
-    rec(0)
+    results = [
+        Presheaf(site, dict(at), dict(res))
+        for _ in backtrack(len(order), tables)
+    ]
     for p in results:
         if not check_sheaf_equalizer(p, coverage).ok:
             raise QsheafError("internal defect: battery admitted a non-sheaf")
@@ -487,11 +446,9 @@ class SubobjectLattice:
 
 def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
     site = f.site
-    order = list(reversed(_ascending_objects(site)))
-    ups = {
-        canon(v): [u for (v2, u) in hasse_edges(site) if canon(v2) == canon(v)]
-        for v in site.objects()
-    }
+    order, _, ups = site_order(site)
+    order.reverse()
+    slot = {canon(u): k for k, u in enumerate(order)}
     total = 1
     for u in site.objects():
         total *= 2 ** len(f.value(u))
@@ -499,40 +456,34 @@ def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
             raise UnverifiedInput(
                 "subobject enumeration would be too large; refusing to guess"
             )
-    chosen = {}
-    out = []
 
-    def rec(k):
-        if k == len(order):
-            at = {cu: FinSetObj(sorted(xs, key=label_key))
-                  for cu, xs in chosen.items()}
-            res = {}
-            for u in site.objects():
-                cu = canon(u)
-                for v in site.objects():
-                    cv = canon(v)
-                    if cv == cu or not site.leq(v, u):
-                        continue
-                    m = f.restrict(v, u)
-                    res[(cv, cu)] = FinMap(
-                        at[cu], at[cv], {x: m(x) for x in at[cu]}
-                    )
-            out.append(Presheaf(site, at, res))
-            return
+    def subsets(k, chosen):
+        """Subsets of f at order[k] holding the restrictions from above."""
         u = order[k]
-        cu = canon(u)
         forced = set()
-        for up in ups[cu]:
+        for up in ups[canon(u)]:
             m = f.restrict(u, up)
-            forced.update(m(x) for x in chosen[canon(up)])
+            forced.update(m(x) for x in chosen[slot[canon(up)]])
         free = sorted(set(f.value(u).elements) - forced, key=label_key)
         for r in range(len(free) + 1):
             for extra in itertools.combinations(free, r):
-                chosen[cu] = forced | set(extra)
-                rec(k + 1)
-        del chosen[cu]
+                yield forced | set(extra)
 
-    rec(0)
+    out = []
+    for choice in backtrack(len(order), subsets):
+        at = {canon(u): FinSetObj(xs) for u, xs in zip(order, choice)}
+        res = {}
+        for u in site.objects():
+            cu = canon(u)
+            for v in site.objects():
+                cv = canon(v)
+                if cv == cu or not site.leq(v, u):
+                    continue
+                m = f.restrict(v, u)
+                res[(cv, cu)] = FinMap(
+                    at[cu], at[cv], {x: m(x) for x in at[cu]}
+                )
+        out.append(Presheaf(site, at, res))
     return out
 
 

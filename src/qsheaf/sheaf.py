@@ -27,8 +27,10 @@ from .moncat import ThinCategory, canon, pseudo_pullback
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
+    backtrack,
     hom_presheaves,
     sieve_of,
+    site_order,
     yoneda,
 )
 
@@ -77,30 +79,23 @@ def compatible_families(f: Presheaf, cover: CoverFamily) -> list:
     """All compatible section tuples for a cover, by backtracking."""
     site = f.site
     legs = cover.legs
-    cache = {}
-    out = []
-    chosen = []
+    cache, maps = {}, {}  # overlap apexes; restriction maps per leg pair
 
-    def extend(k):
-        if k == len(legs):
-            out.append(tuple(chosen))
-            return
-        for x in f.value(legs[k].dom):
-            ok = True
-            for i in range(k):
-                t = _overlap(site, cache, legs[i], legs[k])
-                if f.restrict(t, legs[i].dom)(chosen[i]) != f.restrict(
-                    t, legs[k].dom
-                )(x):
-                    ok = False
-                    break
-            if ok:
-                chosen.append(x)
-                extend(k + 1)
-                chosen.pop()
+    def agree(i, k, xi, xk):
+        if (i, k) not in maps:
+            t = _overlap(site, cache, legs[i], legs[k])
+            maps[i, k] = (f.restrict(t, legs[i].dom), f.restrict(t, legs[k].dom))
+        left, right = maps[i, k]
+        return left(xi) == right(xk)
 
-    extend(0)
-    return out
+    def sections(k, chosen):
+        return [
+            x
+            for x in f.value(legs[k].dom)
+            if all(agree(i, k, xi, x) for i, xi in enumerate(chosen))
+        ]
+
+    return list(backtrack(len(legs), sections))
 
 
 def glue(f: Presheaf, cover: CoverFamily, sections) -> list:
@@ -389,43 +384,31 @@ def _down_set_supports(site, quantale, u):
     return supports
 
 
-def _matching_families(f: Presheaf, site, support):
-    """Functions picking one section per support member, matching downward."""
-    objs = {canon(w): w for w in site.objects()}
-    members = [objs[name] for name in support]
-    rank = {
-        canon(w): sum(1 for v in members if site.leq(v, w)) for w in members
-    }
-    order = sorted(members, key=lambda w: (-rank[canon(w)], canon(w)))
-    out = []
-    chosen = {}
+def _matching_families(f: Presheaf, order, support):
+    """Functions picking one section per support member, matching downward.
 
-    def extend(k):
-        if k == len(order):
-            out.append(tuple(sorted(chosen.items())))
-            return
-        w = order[k]
-        forced = None
-        dead = False
-        for w2 in order[:k]:
-            if not site.leq(w, w2):
-                continue
-            want = f.restrict(w, w2)(chosen[canon(w2)])
-            if forced is None:
-                forced = want
-            elif forced != want:
-                dead = True
-                break
-        if dead:
-            return
-        candidates = [forced] if forced is not None else list(f.value(w))
-        for x in candidates:
-            chosen[canon(w)] = x
-            extend(k + 1)
-            del chosen[canon(w)]
+    The members are visited top-down along the site order ``order``, so
+    a member with anything of the support above it has its section forced.
+    """
+    site = f.site
+    members = [w for w in reversed(order) if canon(w) in support]
 
-    extend(0)
-    return out
+    def sections(k, chosen):
+        w = members[k]
+        forced = {
+            f.restrict(w, w2)(x)
+            for w2, x in zip(members, chosen)
+            if site.leq(w, w2)
+        }
+        if len(forced) > 1:
+            return []
+        return list(forced) or f.value(w).elements
+
+    names = [canon(w) for w in members]
+    return [
+        tuple(sorted(zip(names, fam)))
+        for fam in backtrack(len(members), sections)
+    ]
 
 
 def plus_with_unit(f: Presheaf, coverage: Coverage):
@@ -448,12 +431,13 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
         )
     quantale = coverage.quantale
     objs = {canon(w): w for w in site.objects()}
+    order = site_order(site)[0]
 
     germs_at = {}
     for u in site.objects():
         germs = []
         for support in _down_set_supports(site, quantale, u):
-            for fam in _matching_families(f, site, support):
+            for fam in _matching_families(f, order, support):
                 germs.append((support, fam))
         germs.sort()
         germs_at[canon(u)] = germs

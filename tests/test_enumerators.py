@@ -1,0 +1,216 @@
+"""The backtracking enumerators against brute force straight from the definitions.
+
+Each enumerator built on `presheaf.backtrack` is compared with a search
+over every candidate, filtered by the defining predicate, on the corpus
+sites and presheaves.
+"""
+
+import functools
+import itertools
+import json
+
+import pytest
+
+from qsheaf.cli import corpus_dir
+from qsheaf.coverage import (
+    canonical_quantale_coverage,
+    parse_coverage,
+    product_coverage,
+)
+from qsheaf.finset import FinSetObj, all_maps
+from qsheaf.moncat import ThinCategory, canon
+from qsheaf.presheaf import (
+    Presheaf,
+    PresheafMorphism,
+    hom_presheaves,
+    parse_presheaf,
+    site_order,
+    validate_presheaf,
+)
+from qsheaf.quantale import validate_quantale
+from qsheaf.reflect import _subpresheaves, enumerate_sheaves
+from qsheaf.sheaf import (
+    _down_set_supports,
+    _matching_families,
+    check_sheaf_equalizer,
+    compatible_families,
+    is_compatible,
+)
+
+SITES = {
+    "luk3": ("site_luk3.json", "coverage_trivial_luk3.json"),
+    "chain3": ("site_chain3.json", "coverage_trivial_chain3.json"),
+    "powerset2": ("site_powerset2.json", "coverage_trivial_powerset2.json"),
+    "tnat3": ("site_tnat3.json", "coverage_trivial_tnat3.json"),
+    "product": (
+        "site_product_chain2_luk3.json",
+        "coverage_trivial_product_chain2_luk3.json",
+    ),
+}
+
+
+def corpus(name):
+    return json.loads((corpus_dir() / name).read_text())
+
+
+@functools.cache
+def load(key):
+    """(site, quantale or None, [canonical, trivial coverage], presheaves)."""
+    site_file, trivial_file = SITES[key]
+    raw = corpus(site_file)
+    if "product" in raw:
+        lq = validate_quantale(raw["product"]["left"])
+        rq = validate_quantale(raw["product"]["right"])
+        lsite = ThinCategory.from_quantale(lq)
+        rsite = ThinCategory.from_quantale(rq)
+        site, q = ThinCategory.product(lsite, rsite), None
+        canonical = product_coverage(
+            canonical_quantale_coverage(lq, lsite),
+            canonical_quantale_coverage(rq, rsite),
+        )
+    else:
+        q = validate_quantale(raw)
+        site = ThinCategory.from_quantale(q)
+        canonical = canonical_quantale_coverage(q, site)
+    coverages = [canonical, parse_coverage(site, corpus(trivial_file), quantale=q)]
+    presheaves = [
+        parse_presheaf(site, corpus(path.name))
+        for path in sorted(corpus_dir().glob(f"presheaf_{key}_*.json"))
+    ]
+    assert presheaves
+    return site, q, coverages, presheaves
+
+
+@pytest.fixture(params=sorted(SITES))
+def corpus_site(request):
+    return load(request.param)
+
+
+def comparable(site):
+    """Every pair (v, u) of distinct objects with v <= u."""
+    objs = site.objects()
+    return [
+        (v, u)
+        for u in objs
+        for v in objs
+        if canon(v) != canon(u) and site.leq(v, u)
+    ]
+
+
+def test_compatible_families_match_filtered_product(corpus_site):
+    _, _, coverages, presheaves = corpus_site
+    for coverage in coverages:
+        for f in presheaves:
+            for cover in coverage.all_families():
+                candidates = itertools.product(
+                    *(f.value(leg.dom) for leg in cover.legs)
+                )
+                brute = [
+                    t for t in candidates if is_compatible(f, cover, t)
+                ]
+                assert compatible_families(f, cover) == brute, cover
+
+
+def test_homs_match_natural_component_tuples(corpus_site):
+    site, _, _, presheaves = corpus_site
+    objs = site.objects()
+    for f, g in itertools.product(presheaves, repeat=2):
+        brute = []
+        for comps in itertools.product(
+            *(all_maps(f.value(u), g.value(u)) for u in objs)
+        ):
+            m = PresheafMorphism(
+                f, g, {canon(u): c for u, c in zip(objs, comps)}, check=False
+            )
+            if m.is_natural():
+                brute.append(m)
+        brute.sort(key=lambda m: m._key)
+        assert hom_presheaves(f, g) == brute, (f, g)
+
+
+def test_subpresheaves_are_the_restriction_closed_subsets(corpus_site):
+    site, _, _, presheaves = corpus_site
+    objs = site.objects()
+    for f in presheaves:
+        brute = set()
+        for subsets in itertools.product(
+            *(
+                [
+                    frozenset(c)
+                    for r in range(len(f.value(u)) + 1)
+                    for c in itertools.combinations(f.value(u), r)
+                ]
+                for u in objs
+            )
+        ):
+            chosen = {canon(u): s for u, s in zip(objs, subsets)}
+            if all(
+                f.restrict(v, u)(x) in chosen[canon(v)]
+                for v, u in comparable(site)
+                for x in chosen[canon(u)]
+            ):
+                brute.add(tuple(sorted(chosen.items())))
+        found = _subpresheaves(f)
+        keys = [
+            tuple(sorted((canon(u), frozenset(p.value(u))) for u in objs))
+            for p in found
+        ]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == brute
+        for p in found:
+            for v, u in comparable(site):
+                for x in p.value(u):
+                    assert p.restrict(v, u)(x) == f.restrict(v, u)(x)
+
+
+def test_size_one_battery_is_every_sheaf_table(corpus_site):
+    site, _, coverages, _ = corpus_site
+    objs = site.objects()
+    labels = ["v0"]
+    pairs = comparable(site)
+    for coverage in coverages:
+        brute = set()
+        for sizes in itertools.product(range(len(labels) + 1), repeat=len(objs)):
+            at = {
+                canon(u): FinSetObj(labels[:n]) for u, n in zip(objs, sizes)
+            }
+            for maps in itertools.product(
+                *(all_maps(at[canon(u)], at[canon(v)]) for v, u in pairs)
+            ):
+                res = {
+                    (canon(v), canon(u)): m for (v, u), m in zip(pairs, maps)
+                }
+                p = Presheaf(site, at, res)
+                if (
+                    validate_presheaf(site, p).ok
+                    and check_sheaf_equalizer(p, coverage).ok
+                ):
+                    brute.add(p)
+        battery = enumerate_sheaves(site, coverage, max_size=len(labels))
+        assert len(set(battery)) == len(battery)
+        assert set(battery) == brute
+
+
+@pytest.mark.parametrize("key", ["chain3", "powerset2"])
+def test_matching_families_are_every_matching_choice(key):
+    site, q, coverages, presheaves = load(key)
+    assert site.is_cartesian and coverages[0].join_rule
+    order = site_order(site)[0]
+    for f in presheaves:
+        for u in site.objects():
+            for support in _down_set_supports(site, q, u):
+                members = [w for w in site.objects() if canon(w) in support]
+                brute = []
+                for xs in itertools.product(*(f.value(w) for w in members)):
+                    pick = dict(zip(members, xs))
+                    if all(
+                        f.restrict(w, w2)(pick[w2]) == pick[w]
+                        for w in members
+                        for w2 in members
+                        if site.leq(w, w2)
+                    ):
+                        brute.append(
+                            tuple(sorted((canon(w), x) for w, x in pick.items()))
+                        )
+                found = _matching_families(f, order, support)
+                assert sorted(found) == sorted(brute)

@@ -21,7 +21,6 @@ from qsheaf.presheaf import (
     empty_presheaf,
     hom_presheaves,
     identity_morphism,
-    is_mono,
     iso_presheaves,
     parse_presheaf,
     sieve_of,
@@ -323,7 +322,6 @@ class TestSieves:
         assert len(sieve.presheaf.value("0")) == 1
         assert len(sieve.presheaf.value("1")) == 0
         assert not sieve.canonical.is_mono()
-        assert not is_mono(sieve.canonical)
 
     def test_reversed_order_self_cover_splits(self):
         q, site = tnat3_site()
