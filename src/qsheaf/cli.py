@@ -7,7 +7,9 @@ identical inputs and configuration are byte-identical; wall-clock timing is
 only included when requested so that the default output can be diffed.
 
 Exit codes: 0 every check passed, 1 some check failed, 2 an input was
-malformed or outside a checker's domain, 3 an iteration budget ran out.
+malformed or outside a checker's domain, 3 an iteration budget ran out,
+4 two of qsheaf's own independent computations disagreed (a bug in qsheaf,
+reported as the check `internal-defect`).
 """
 
 import argparse
@@ -26,6 +28,7 @@ from .coverage import (
     product_coverage,
 )
 from .errors import (
+    InternalDefect,
     InvalidSpec,
     MulNotAssociative,
     NotCartesianSite,
@@ -50,6 +53,7 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_UNCONVERGED = 3
+EXIT_DEFECT = 4
 
 BUNDLED = {
     "luk3": ("lukasiewicz_chain", 3),
@@ -296,13 +300,10 @@ def _cmd_check_sheaf(args, report: RunReport, rng) -> int:
         )
     verdicts = {r.verdict for r in results.values()}
     if len(verdicts) > 1:
-        report.add(
-            "BUG-method-agreement",
-            False,
+        raise InternalDefect(
             "the two sheaf definitions disagree: "
-            + ", ".join(f"{m}={r.verdict}" for m, r in sorted(results.items())),
+            + ", ".join(f"{m}={r.verdict}" for m, r in sorted(results.items()))
         )
-        return EXIT_FAIL
     return EXIT_OK if verdicts == {VERDICT_SHEAF} else EXIT_FAIL
 
 
@@ -349,6 +350,8 @@ def _cmd_sub(args, report: RunReport, rng) -> int:
     f = _load_presheaf(p_raw, site, report)
     try:
         lattice = subsheaf_lattice(f, cov)
+    except InternalDefect:
+        raise
     except QsheafError as exc:
         report.add("ambient-sheaf", False, str(exc))
         raise _BadInput from exc
@@ -570,6 +573,9 @@ def main(argv=None) -> int:
     except NotConverged as exc:
         report.add("converged", False, str(exc))
         code = EXIT_UNCONVERGED
+    except InternalDefect as exc:
+        report.add("internal-defect", False, str(exc))
+        code = EXIT_DEFECT
     except QsheafError as exc:
         report.add(type(exc).__name__, False, str(exc))
         code = EXIT_INVALID

@@ -3,7 +3,8 @@
 Validation of mathematical laws never raises; law checkers return
 reports with witnesses. Exceptions are reserved for misuse: malformed
 input, mismatched domains, calling an operation on a site that does
-not support it.
+not support it. The one exception is `InternalDefect`, raised when two
+of the library's own independent computations disagree.
 """
 
 
@@ -65,3 +66,7 @@ class MulNotAssociative(QsheafError):
 
 class NotConverged(QsheafError):
     """Bounded forcing hit its iteration cap without reaching a fixpoint."""
+
+
+class InternalDefect(QsheafError):
+    """Two independent computations of this library disagree: a bug, not bad input."""

@@ -213,6 +213,10 @@ class ThinCategory(MonoidalCategory):
             for a, b in itertools.product(self._elements, repeat=2)
         )
         self.is_cartesian = self._tensor_is_meet()
+        self._names = {u: canon(u) for u in self._elements}
+        self._sorted = sorted(self._elements, key=self._names.__getitem__)
+        self._order = None  # (order, downs, ups), built by presheaf.site_order
+        self._apexes = {}  # (a.dom, b.dom, cod) -> pseudo-pullback apex
 
     @classmethod
     def from_quantale(cls, q):
@@ -272,7 +276,21 @@ class ThinCategory(MonoidalCategory):
         return (a, b) in self._leq
 
     def objects(self):
-        return sorted(self._elements, key=canon)
+        return list(self._sorted)
+
+    def name(self, u) -> str:
+        """The canonical name of an object, looked up for members."""
+        try:
+            return self._names[u]
+        except KeyError:
+            return canon(u)
+
+    def overlap(self, a: Mor, b: Mor):
+        """The pseudo-pullback apex of two legs into one object, kept per site."""
+        key = (a.dom, b.dom, a.cod)
+        if key not in self._apexes:
+            self._apexes[key] = pseudo_pullback(self, a, b).obj
+        return self._apexes[key]
 
     def hom(self, a, b):
         return [Mor(a, b)] if self.leq(a, b) else []
@@ -334,6 +352,8 @@ class ThinCategory(MonoidalCategory):
         return None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, ThinCategory)
             and self._elements == other._elements
@@ -343,7 +363,7 @@ class ThinCategory(MonoidalCategory):
         )
 
     def __hash__(self):
-        return hash((tuple(map(canon, self._elements)), self.unit_obj is None))
+        return hash((tuple(map(self.name, self._elements)), self.unit_obj is None))
 
     def __repr__(self):
         kind = "product thin" if self.components else "thin"

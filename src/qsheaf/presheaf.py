@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import finset
 from .coverage import CoverFamily
@@ -23,7 +24,7 @@ from .errors import (
     SiteMismatch,
 )
 from .finset import FinMap, FinSetObj, UnionFind, label_key
-from .moncat import ThinCategory, canon, is_semicartesian, pseudo_pullback
+from .moncat import ThinCategory, is_semicartesian
 
 
 def _require_thin(site):
@@ -39,7 +40,7 @@ class Presheaf:
         self.site = site
         self._at = {}
         for u in site.objects():
-            cu = canon(u)
+            cu = site.name(u)
             if cu not in at:
                 raise InvalidSpec(f"no value set for object {cu}")
             value = at[cu]
@@ -48,9 +49,9 @@ class Presheaf:
             self._at[cu] = value
         self._res = {}
         for u in site.objects():
-            cu = canon(u)
+            cu = site.name(u)
             for v in site.objects():
-                cv = canon(v)
+                cv = site.name(v)
                 if not site.leq(v, u):
                     continue
                 if cv == cu:
@@ -68,11 +69,11 @@ class Presheaf:
                 self._res[(cv, cu)] = m
 
     def value(self, u) -> FinSetObj:
-        return self._at[canon(u)]
+        return self._at[self.site.name(u)]
 
     def restrict(self, v, u) -> FinMap:
         """The map F(u) -> F(v) for v <= u."""
-        key = (canon(v), canon(u))
+        key = (self.site.name(v), self.site.name(u))
         if key not in self._res:
             raise MissingRestriction(f"no restriction for {key[0]} <= {key[1]}")
         return self._res[key]
@@ -138,7 +139,7 @@ class PresheafValidation:
 def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
     if not isinstance(raw, dict) or "at" not in raw:
         raise InvalidSpec("presheaf spec needs an 'at' table")
-    names = {canon(u) for u in site.objects()}
+    names = {site.name(u) for u in site.objects()}
     at = {}
     for cu, labels in raw["at"].items():
         if cu not in names:
@@ -174,7 +175,7 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
     for u in objs:
         if p.restrict(u, u) != finset.identity(p.value(u)):
             out.entries.append(
-                PresheafCheck("identity", False, f"res({canon(u)}) is not id")
+                PresheafCheck("identity", False, f"res({site.name(u)}) is not id")
             )
     bad = None
     for u in objs:
@@ -186,7 +187,7 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
                     continue
                 lhs = finset.compose(p.restrict(w, v), p.restrict(v, u))
                 if lhs != p.restrict(w, u):
-                    bad = f"{canon(w)} <= {canon(v)} <= {canon(u)}"
+                    bad = f"{site.name(w)} <= {site.name(v)} <= {site.name(u)}"
                     break
             if bad:
                 break
@@ -207,35 +208,35 @@ def yoneda(site: ThinCategory, u) -> Presheaf:
     _require_thin(site)
     at, res = {}, {}
     for w in site.objects():
-        at[canon(w)] = FinSetObj(["*"] if site.leq(w, u) else [])
+        at[site.name(w)] = FinSetObj(["*"] if site.leq(w, u) else [])
     for a in site.objects():
         for b in site.objects():
-            if site.leq(a, b) and canon(a) != canon(b):
+            if site.leq(a, b) and site.name(a) != site.name(b):
                 table = {"*": "*"} if site.leq(b, u) and site.leq(a, u) else {}
-                res[(canon(a), canon(b))] = FinMap(
-                    at[canon(b)], at[canon(a)], table
+                res[(site.name(a), site.name(b))] = FinMap(
+                    at[site.name(b)], at[site.name(a)], table
                 )
     return Presheaf(site, at, res)
 
 
 def terminal_presheaf(site: ThinCategory) -> Presheaf:
-    at = {canon(u): FinSetObj(["*"]) for u in site.objects()}
+    at = {site.name(u): FinSetObj(["*"]) for u in site.objects()}
     res = {
-        (canon(v), canon(u)): {"*": "*"}
+        (site.name(v), site.name(u)): {"*": "*"}
         for u in site.objects()
         for v in site.objects()
-        if site.leq(v, u) and canon(v) != canon(u)
+        if site.leq(v, u) and site.name(v) != site.name(u)
     }
     return Presheaf(site, at, res)
 
 
 def empty_presheaf(site: ThinCategory) -> Presheaf:
-    at = {canon(u): FinSetObj([]) for u in site.objects()}
+    at = {site.name(u): FinSetObj([]) for u in site.objects()}
     res = {
-        (canon(v), canon(u)): {}
+        (site.name(v), site.name(u)): {}
         for u in site.objects()
         for v in site.objects()
-        if site.leq(v, u) and canon(v) != canon(u)
+        if site.leq(v, u) and site.name(v) != site.name(u)
     }
     return Presheaf(site, at, res)
 
@@ -255,7 +256,7 @@ class PresheafMorphism:
             raise SiteMismatch("morphism endpoints live on different sites")
         comps = {}
         for u in src.objects():
-            cu = canon(u)
+            cu = src.site.name(u)
             if cu not in components:
                 raise InvalidSpec(f"missing component at {cu}")
             m = components[cu]
@@ -282,7 +283,7 @@ class PresheafMorphism:
         raise AttributeError("PresheafMorphism is immutable")
 
     def component(self, u) -> FinMap:
-        return self.components[canon(u)]
+        return self.components[self.src.site.name(u)]
 
     def is_natural(self) -> bool:
         site = self.src.site
@@ -332,7 +333,7 @@ class PresheafMorphism:
 
 
 def identity_morphism(p: Presheaf) -> PresheafMorphism:
-    comps = {canon(u): finset.identity(p.value(u)) for u in p.objects()}
+    comps = {p.site.name(u): finset.identity(p.value(u)) for u in p.objects()}
     return PresheafMorphism(p, p, comps, check=False)
 
 
@@ -342,11 +343,11 @@ def hasse_edges(site: ThinCategory):
     edges = []
     for u in objs:
         for v in objs:
-            if canon(v) == canon(u) or not site.leq(v, u):
+            if site.name(v) == site.name(u) or not site.leq(v, u):
                 continue
             if any(
                 site.leq(v, w) and site.leq(w, u)
-                and canon(w) not in (canon(v), canon(u))
+                and site.name(w) not in (site.name(v), site.name(u))
                 for w in objs
             ):
                 continue
@@ -355,27 +356,31 @@ def hasse_edges(site: ThinCategory):
 
 
 def site_order(site: ThinCategory):
-    """Objects bottom-up and their Hasse neighbours, from one Hasse scan.
+    """Objects bottom-up and their Hasse neighbours, built once per site.
 
-    Returns ``(order, downs, ups)``. ``order`` sorts the objects by the
-    size of their down-set, then by name, so everything below an object
-    comes before it. ``downs[cu]`` and ``ups[cu]`` list the objects just
-    below and just above the object named ``cu``, in `hasse_edges` order.
+    Returns ``(order, downs, ups)``. ``order`` is a tuple of the objects
+    sorted by the size of their down-set, then by name, so everything
+    below an object comes before it. ``downs[u]`` and ``ups[u]`` are
+    tuples of the objects just below and just above ``u``, in
+    `hasse_edges` order. The first call makes the site's one `hasse_edges`
+    scan and keeps the read-only result on the site for every later call.
     """
-    objs = site.objects()
-    below = {
-        canon(u): frozenset(canon(v) for v in objs if site.leq(v, u))
-        for u in objs
-    }
-    if len(set(below.values())) < len(below):
-        raise InvalidSpec("site order is not antisymmetric")
-    order = sorted(objs, key=lambda u: (len(below[canon(u)]), canon(u)))
-    downs = {cu: [] for cu in below}
-    ups = {cu: [] for cu in below}
-    for v, u in hasse_edges(site):
-        downs[canon(u)].append(v)
-        ups[canon(v)].append(u)
-    return order, downs, ups
+    if site._order is None:
+        objs = site.objects()
+        below = {u: frozenset(v for v in objs if site.leq(v, u)) for u in objs}
+        if len(set(below.values())) < len(below):
+            raise InvalidSpec("site order is not antisymmetric")
+        downs = {u: [] for u in objs}
+        ups = {u: [] for u in objs}
+        for v, u in hasse_edges(site):
+            downs[u].append(v)
+            ups[v].append(u)
+        site._order = (
+            tuple(sorted(objs, key=lambda u: (len(below[u]), site.name(u)))),
+            MappingProxyType({u: tuple(vs) for u, vs in downs.items()}),
+            MappingProxyType({u: tuple(vs) for u, vs in ups.items()}),
+        )
+    return site._order
 
 
 def backtrack(slots: int, options):
@@ -411,17 +416,18 @@ def hom_presheaves(f: Presheaf, g: Presheaf) -> list:
     """All natural transformations f -> g, via downward fiber filtering."""
     if f.site != g.site:
         raise SiteMismatch("hom needs presheaves on one site")
-    order, _, ups = site_order(f.site)
-    order.reverse()
-    names = [canon(v) for v in order]
-    slot = {cv: k for k, cv in enumerate(names)}
+    site = f.site
+    order, _, ups = site_order(site)
+    order = order[::-1]
+    names = [site.name(v) for v in order]
+    slot = {v: k for k, v in enumerate(order)}
 
     def components(k, chosen):
         v = order[k]
         forced = {}
-        for u in ups[canon(v)]:
+        for u in ups[v]:
             fvu, gvu = f.restrict(v, u), g.restrict(v, u)
-            comp_u = chosen[slot[canon(u)]]
+            comp_u = chosen[slot[u]]
             for y in f.value(u):
                 want = gvu(comp_u(y))
                 if forced.setdefault(fvu(y), want) != want:
@@ -484,10 +490,10 @@ def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
     uf_by_obj = {}
     for u in objs:
         tags = tags_at(u)
-        labels = [_day_tag(canon(v), canon(w), x, y) for v, w, x, y in tags]
+        labels = [_day_tag(site.name(v), site.name(w), x, y) for v, w, x, y in tags]
         uf = UnionFind(labels)
         for v, w, x, y in tags:
-            lab = _day_tag(canon(v), canon(w), x, y)
+            lab = _day_tag(site.name(v), site.name(w), x, y)
             for v2 in objs:
                 if not site.leq(v2, v):
                     continue
@@ -498,18 +504,18 @@ def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
                         continue
                     x2 = f.restrict(v2, v)(x)
                     y2 = g.restrict(w2, w)(y)
-                    uf.union(lab, _day_tag(canon(v2), canon(w2), x2, y2))
-        uf_by_obj[canon(u)] = uf
-        classes[canon(u)] = sorted(
+                    uf.union(lab, _day_tag(site.name(v2), site.name(w2), x2, y2))
+        uf_by_obj[site.name(u)] = uf
+        classes[site.name(u)] = sorted(
             {uf.find(lab) for lab in labels}, key=label_key
         )
 
     at = {cu: FinSetObj(reps) for cu, reps in classes.items()}
     res = {}
     for u in objs:
-        cu = canon(u)
+        cu = site.name(u)
         for u2 in objs:
-            cu2 = canon(u2)
+            cu2 = site.name(u2)
             if cu2 == cu or not site.leq(u2, u):
                 continue
             table = {
@@ -529,7 +535,7 @@ def _day_parts(f: Presheaf, g: Presheaf, u):
                 continue
             for x in f.value(v):
                 for y in g.value(w):
-                    out[_day_tag(canon(v), canon(w), x, y)] = (v, w, x, y)
+                    out[_day_tag(site.name(v), site.name(w), x, y)] = (v, w, x, y)
     return out
 
 
@@ -547,7 +553,7 @@ def day_projection1(f: Presheaf, g: Presheaf, conv: Presheaf = None):
         for rep in conv.value(u):
             v, _, x, _ = parts[rep]
             table[rep] = f.restrict(u, v)(x)
-        comps[canon(u)] = FinMap(conv.value(u), f.value(u), table)
+        comps[site.name(u)] = FinMap(conv.value(u), f.value(u), table)
     return PresheafMorphism(conv, f, comps)
 
 
@@ -565,7 +571,7 @@ def day_projection2(f: Presheaf, g: Presheaf, conv: Presheaf = None):
         for rep in conv.value(u):
             _, w, _, y = parts[rep]
             table[rep] = g.restrict(u, w)(y)
-        comps[canon(u)] = FinMap(conv.value(u), g.value(u), table)
+        comps[site.name(u)] = FinMap(conv.value(u), g.value(u), table)
     return PresheafMorphism(conv, g, comps)
 
 
@@ -592,15 +598,14 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
     target = cover.target
     at, res, uf_by_obj = {}, {}, {}
     for w in site.objects():
-        cw = canon(w)
+        cw = site.name(w)
         pieces = [
             FinSetObj(["*"] if site.leq(w, leg.dom) else []) for leg in legs
         ]
         total, _ = finset.coproduct(pieces)
         pair_tags = []
         for i, j in itertools.product(range(len(legs)), repeat=2):
-            ppb = pseudo_pullback(site, legs[i], legs[j])
-            if site.leq(w, ppb.obj):
+            if site.leq(w, site.overlap(legs[i], legs[j])):
                 pair_tags.append((i, j))
         pairs = FinSetObj([f"{i},{j}" for i, j in pair_tags])
         first = FinMap(
@@ -613,9 +618,9 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
         at[cw] = quotient
         uf_by_obj[cw] = q
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         for v in site.objects():
-            cv = canon(v)
+            cv = site.name(v)
             if cv == cu or not site.leq(v, u):
                 continue
             table = {rep: uf_by_obj[cv](rep) for rep in at[cu]}
@@ -624,7 +629,7 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
     target_y = yoneda(site, target)
     comps = {}
     for w in site.objects():
-        cw = canon(w)
+        cw = site.name(w)
         table = {rep: "*" for rep in at[cw]}
         comps[cw] = FinMap(at[cw], target_y.value(w), table)
     canonical = PresheafMorphism(s, target_y, comps)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from . import finset
 from .coverage import Coverage
 from .errors import (
+    InternalDefect,
     InvalidSpec,
     MulNotAssociative,
     NotConverged,
@@ -26,7 +27,6 @@ from .errors import (
     UnverifiedInput,
 )
 from .finset import FinMap, FinSetObj, UnionFind, label_key
-from .moncat import canon
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
@@ -91,7 +91,7 @@ def _forcing_step(f: Presheaf, exist, unify):
     site = f.site
     tags_at, dsu_at, label_at = {}, {}, {}
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         tags = [("o", x) for x in f.value(u)]
         for k, (target, _, _) in enumerate(exist):
             if site.leq(u, target):
@@ -138,9 +138,9 @@ def _forcing_step(f: Presheaf, exist, unify):
     }
     res = {}
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         for v in site.objects():
-            cv = canon(v)
+            cv = site.name(v)
             if cv == cu or not site.leq(v, u):
                 continue
             table = {}
@@ -151,7 +151,7 @@ def _forcing_step(f: Presheaf, exist, unify):
                     down = tag
                 src, dst = label_of(cu, tag), label_of(cv, down)
                 if table.get(src, dst) != dst:
-                    raise QsheafError(
+                    raise InternalDefect(
                         "internal defect: forcing step restriction is "
                         f"ill-defined at {cv} <= {cu}"
                     )
@@ -159,10 +159,10 @@ def _forcing_step(f: Presheaf, exist, unify):
             res[(cv, cu)] = FinMap(at[cu], at[cv], table)
     nxt = Presheaf(site, at, res)
     comps = {
-        canon(u): FinMap(
+        site.name(u): FinMap(
             f.value(u),
             nxt.value(u),
-            {x: label_of(canon(u), ("o", x)) for x in f.value(u)},
+            {x: label_of(site.name(u), ("o", x)) for x in f.value(u)},
         )
         for u in site.objects()
     }
@@ -198,40 +198,35 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     labels = [f"v{i}" for i in range(max_size)]
     order, children, _ = site_order(site)
     covers_by_target = {
-        canon(u): [
-            c for c in coverage.all_families() if canon(c.target) == canon(u)
-        ]
+        u: [c for c in coverage.all_families() if site.name(c.target) == site.name(u)]
         for u in order
     }
     at, res = {}, {}
 
     def rst(w, u):
-        cw, cu = canon(w), canon(u)
+        cw, cu = site.name(w), site.name(u)
         if cw == cu:
             return finset.identity(at[cu])
         return res[(cw, cu)]
 
     def sheaf_ok_at(u):
-        for cover in covers_by_target[canon(u)]:
+        for cover in covers_by_target[u]:
             maps = [rst(leg.dom, u) for leg in cover.legs]
             buckets = {}
-            for z in at[canon(u)]:
+            for z in at[site.name(u)]:
                 buckets.setdefault(tuple(m(z) for m in maps), []).append(z)
             if any(len(zs) > 1 for zs in buckets.values()):
                 return False
             legs = cover.legs
-            overlaps = [
-                [site.tensor_obj(a.dom, b.dom) for b in legs] for a in legs
-            ]
 
             def agree(i, k, xi, xk):
-                t = overlaps[i][k]
+                t = site.overlap(legs[i], legs[k])
                 return rst(t, legs[i].dom)(xi) == rst(t, legs[k].dom)(xk)
 
             def sections(k, chosen):
                 return [
                     x
-                    for x in at[canon(legs[k].dom)]
+                    for x in at[site.name(legs[k].dom)]
                     if all(agree(i, k, xi, x) for i, xi in enumerate(chosen))
                 ]
 
@@ -247,24 +242,24 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
         ``res``, and removed again before the next one.
         """
         u = order[k]
-        cu = canon(u)
+        cu = site.name(u)
         strict_below = [w for w in order[:k] if site.leq(w, u)]
-        kids = children[cu]
+        kids = children[u]
         for size in range(max_size + 1):
             at[cu] = FinSetObj(labels[:size])
             options = [
                 [
-                    FinMap(at[cu], at[canon(v)], dict(zip(at[cu], targets)))
-                    for targets in itertools.product(at[canon(v)], repeat=size)
+                    FinMap(at[cu], at[site.name(v)], dict(zip(at[cu], targets)))
+                    for targets in itertools.product(at[site.name(v)], repeat=size)
                 ]
                 for v in kids
             ]
             for combo in itertools.product(*options):
                 for v, m in zip(kids, combo):
-                    res[(canon(v), cu)] = m
+                    res[(site.name(v), cu)] = m
                 consistent = True
                 for w in strict_below:
-                    if (canon(w), cu) in res:
+                    if (site.name(w), cu) in res:
                         continue
                     derived = {
                         finset.compose(rst(w, v), m)
@@ -274,11 +269,11 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
                     if len(derived) > 1:
                         consistent = False
                         break
-                    res[(canon(w), cu)] = derived.pop()
+                    res[(site.name(w), cu)] = derived.pop()
                 if consistent and sheaf_ok_at(u):
                     yield combo
                 for w in strict_below:
-                    res.pop((canon(w), cu), None)
+                    res.pop((site.name(w), cu), None)
             del at[cu]
 
     results = [
@@ -287,7 +282,7 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     ]
     for p in results:
         if not check_sheaf_equalizer(p, coverage).ok:
-            raise QsheafError("internal defect: battery admitted a non-sheaf")
+            raise InternalDefect("internal defect: battery admitted a non-sheaf")
     return results
 
 
@@ -381,9 +376,8 @@ def preserves_terminal(coverage: Coverage, max_iter: int = 16) -> TerminalReport
     """Does reflecting the terminal presheaf change it?"""
     t = terminal_presheaf(coverage.site)
     result = sheafify(t, coverage, max_iter)
-    sizes = {
-        canon(u): len(result.sheaf.value(u)) for u in coverage.site.objects()
-    }
+    site = coverage.site
+    sizes = {site.name(u): len(result.sheaf.value(u)) for u in site.objects()}
     ok = result.converged and all(n == 1 for n in sizes.values())
     return TerminalReport(ok, sizes, result.converged)
 
@@ -414,17 +408,18 @@ class SubobjectLattice:
 
     def meet(self, i: int, j: int) -> int:
         a, b = self.members[i], self.members[j]
+        site = self.ambient.site
         want = {
-            canon(u): set(a.value(u).elements) & set(b.value(u).elements)
+            site.name(u): set(a.value(u).elements) & set(b.value(u).elements)
             for u in self.ambient.objects()
         }
         for k, m in enumerate(self.members):
             if all(
-                set(m.value(u).elements) == want[canon(u)]
+                set(m.value(u).elements) == want[site.name(u)]
                 for u in self.ambient.objects()
             ):
                 return k
-        raise QsheafError(
+        raise InternalDefect(
             "internal defect: subsheaves are not closed under intersection"
         )
 
@@ -438,7 +433,7 @@ class SubobjectLattice:
             k for k in uppers if all(self.leq(k, other) for other in uppers)
         ]
         if len(least) != 1:
-            raise QsheafError(
+            raise InternalDefect(
                 "internal defect: join of subsheaves is not unique"
             )
         return least[0]
@@ -447,8 +442,8 @@ class SubobjectLattice:
 def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
     site = f.site
     order, _, ups = site_order(site)
-    order.reverse()
-    slot = {canon(u): k for k, u in enumerate(order)}
+    order = order[::-1]
+    slot = {u: k for k, u in enumerate(order)}
     total = 1
     for u in site.objects():
         total *= 2 ** len(f.value(u))
@@ -461,9 +456,9 @@ def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
         """Subsets of f at order[k] holding the restrictions from above."""
         u = order[k]
         forced = set()
-        for up in ups[canon(u)]:
+        for up in ups[u]:
             m = f.restrict(u, up)
-            forced.update(m(x) for x in chosen[slot[canon(up)]])
+            forced.update(m(x) for x in chosen[slot[up]])
         free = sorted(set(f.value(u).elements) - forced, key=label_key)
         for r in range(len(free) + 1):
             for extra in itertools.combinations(free, r):
@@ -471,12 +466,12 @@ def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
 
     out = []
     for choice in backtrack(len(order), subsets):
-        at = {canon(u): FinSetObj(xs) for u, xs in zip(order, choice)}
+        at = {site.name(u): FinSetObj(xs) for u, xs in zip(order, choice)}
         res = {}
         for u in site.objects():
-            cu = canon(u)
+            cu = site.name(u)
             for v in site.objects():
-                cv = canon(v)
+                cv = site.name(v)
                 if cv == cu or not site.leq(v, u):
                     continue
                 m = f.restrict(v, u)
@@ -498,10 +493,11 @@ def subsheaf_lattice(f: Presheaf, coverage: Coverage,
         if check_sheaf_equalizer(p, coverage).ok
     ]
     members.sort(key=lambda p: (p.total_size(), repr(p.to_raw())))
+    site = f.site
     inclusions = []
     for p in members:
         comps = {
-            canon(u): FinMap(
+            site.name(u): FinMap(
                 p.value(u), f.value(u), {x: x for x in p.value(u)}
             )
             for u in f.objects()
@@ -526,21 +522,22 @@ def extremal_factorize(
 ) -> ExtremalFactorization:
     """Corestrict onto the least subsheaf containing the image."""
     f = m.dst
+    site = f.site
     if lattice is None:
         lattice = subsheaf_lattice(f, coverage)
     image = {
-        canon(u): {m.component(u)(x) for x in m.src.value(u)}
+        site.name(u): {m.component(u)(x) for x in m.src.value(u)}
         for u in f.objects()
     }
     candidates = [
         i
         for i, s in enumerate(lattice.members)
         if all(
-            image[canon(u)] <= set(s.value(u).elements) for u in f.objects()
+            image[site.name(u)] <= set(s.value(u).elements) for u in f.objects()
         )
     ]
     if not candidates:
-        raise QsheafError(
+        raise InternalDefect(
             "internal defect: ambient sheaf does not contain the image"
         )
     least = candidates[0]
@@ -548,7 +545,7 @@ def extremal_factorize(
         least = lattice.meet(least, i)
     target = lattice.members[least]
     comps = {
-        canon(u): FinMap(
+        site.name(u): FinMap(
             m.src.value(u),
             target.value(u),
             {x: m.component(u)(x) for x in m.src.value(u)},
@@ -580,7 +577,7 @@ def _extend_along_unit(result: ReflectionResult, psi: PresheafMorphism):
         if result.unit.then(m) == psi
     ]
     if len(matches) != 1:
-        raise QsheafError(
+        raise InternalDefect(
             f"internal defect: expected one extension, found {len(matches)}"
         )
     return matches[0]
@@ -616,7 +613,7 @@ def star(
     r = result.sheaf
     at = {}
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         at[cu] = FinSetObj(
             [
                 e
@@ -626,23 +623,23 @@ def star(
         )
     res = {}
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         for v in site.objects():
-            cv = canon(v)
+            cv = site.name(v)
             if cv == cu or not site.leq(v, u):
                 continue
             m = r.restrict(v, u)
             table = {}
             for e in at[cu]:
                 if m(e) not in at[cv].elements:
-                    raise QsheafError(
+                    raise InternalDefect(
                         "internal defect: equalizer is not restriction-closed"
                     )
                 table[e] = m(e)
             res[(cv, cu)] = FinMap(at[cu], at[cv], table)
     eq = Presheaf(site, at, res)
     comps = {
-        canon(u): FinMap(
+        site.name(u): FinMap(
             eq.value(u),
             f.value(u),
             {e: phi1.component(u)(e) for e in eq.value(u)},
@@ -760,7 +757,7 @@ def pointwise_pullback(phi1: PresheafMorphism, phi2: PresheafMorphism):
     site = left.site
     at = {}
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         labels = [
             finset.pair_label(x, y)
             for x in left.value(u).elements
@@ -771,7 +768,7 @@ def pointwise_pullback(phi1: PresheafMorphism, phi2: PresheafMorphism):
     res = {}
     for u in site.objects():
         for v in site.objects():
-            if not site.leq(v, u) or canon(u) == canon(v):
+            if not site.leq(v, u) or site.name(u) == site.name(v):
                 continue
             lr = left.restrict(v, u)
             rr = right.restrict(v, u)
@@ -779,14 +776,14 @@ def pointwise_pullback(phi1: PresheafMorphism, phi2: PresheafMorphism):
             for x in left.value(u).elements:
                 for y in right.value(u).elements:
                     key = finset.pair_label(x, y)
-                    if key in at[canon(u)].elements:
+                    if key in at[site.name(u)].elements:
                         table[key] = finset.pair_label(lr(x), rr(y))
-            res[(canon(v), canon(u))] = FinMap(
-                at[canon(u)], at[canon(v)], table
+            res[(site.name(v), site.name(u))] = FinMap(
+                at[site.name(u)], at[site.name(v)], table
             )
     apex = Presheaf(site, at, res)
     proj1 = PresheafMorphism(apex, left, {
-        canon(u): FinMap(apex.value(u), left.value(u), {
+        site.name(u): FinMap(apex.value(u), left.value(u), {
             finset.pair_label(x, y): x
             for x in left.value(u).elements
             for y in right.value(u).elements
@@ -795,7 +792,7 @@ def pointwise_pullback(phi1: PresheafMorphism, phi2: PresheafMorphism):
         for u in site.objects()
     })
     proj2 = PresheafMorphism(apex, right, {
-        canon(u): FinMap(apex.value(u), right.value(u), {
+        site.name(u): FinMap(apex.value(u), right.value(u), {
             finset.pair_label(x, y): y
             for x in left.value(u).elements
             for y in right.value(u).elements
@@ -821,6 +818,7 @@ def probe_pullback_preservation(
     nothing is asserted.
     """
     apex, _, _ = pointwise_pullback(phi1, phi2)
+    site = apex.site
     r_left = sheafify(phi1.src, coverage, max_iter)
     r_right = sheafify(phi2.src, coverage, max_iter)
     r_mid = sheafify(phi1.dst, coverage, max_iter)
@@ -829,9 +827,7 @@ def probe_pullback_preservation(
         "converged": all(
             r.converged for r in (r_left, r_right, r_mid, r_apex)
         ),
-        "apex_sizes": {
-            canon(u): len(apex.value(u)) for u in apex.site.objects()
-        },
+        "apex_sizes": {site.name(u): len(apex.value(u)) for u in site.objects()},
     }
     if not record["converged"]:
         record["preserved"] = None
@@ -841,12 +837,10 @@ def probe_pullback_preservation(
     sheaf_apex, _, _ = pointwise_pullback(ext1, ext2)
     iso = iso_presheaves(r_apex.sheaf, sheaf_apex)
     record["reflected_apex_sizes"] = {
-        canon(u): len(r_apex.sheaf.value(u))
-        for u in r_apex.sheaf.site.objects()
+        site.name(u): len(r_apex.sheaf.value(u)) for u in site.objects()
     }
     record["sheaf_pullback_sizes"] = {
-        canon(u): len(sheaf_apex.value(u))
-        for u in sheaf_apex.site.objects()
+        site.name(u): len(sheaf_apex.value(u)) for u in site.objects()
     }
     record["preserved"] = iso is not None
     return record

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from . import finset
 from .coverage import CoverFamily, Coverage
 from .errors import (
+    InternalDefect,
     NotCompatible,
     NotLocale,
     QsheafError,
@@ -23,7 +24,7 @@ from .errors import (
     SiteMismatch,
 )
 from .finset import FinMap, FinSetObj, UnionFind, label_key
-from .moncat import ThinCategory, canon, pseudo_pullback
+from .moncat import ThinCategory
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
@@ -43,14 +44,6 @@ VERDICT_PRESHEAF = "presheaf"
 _GRADE = {VERDICT_SHEAF: 2, VERDICT_SEPARATED: 1, VERDICT_PRESHEAF: 0}
 
 
-def _overlap(site, cache, a, b):
-    """The pseudo-pullback apex of two cover legs, cached per object pair."""
-    key = (canon(a.dom), canon(b.dom), canon(a.cod))
-    if key not in cache:
-        cache[key] = pseudo_pullback(site, a, b).obj
-    return cache[key]
-
-
 def is_compatible(f: Presheaf, cover: CoverFamily, sections) -> bool:
     """Do the sections agree on every pairwise overlap?"""
     site = f.site
@@ -62,12 +55,11 @@ def is_compatible(f: Presheaf, cover: CoverFamily, sections) -> bool:
     for leg, x in zip(legs, sections):
         if x not in f.value(leg.dom):
             raise SectionOutOfSet(
-                f"section {x!r} is not in the value set at {canon(leg.dom)}"
+                f"section {x!r} is not in the value set at {site.name(leg.dom)}"
             )
-    cache = {}
     for i in range(len(legs)):
         for j in range(i + 1, len(legs)):
-            t = _overlap(site, cache, legs[i], legs[j])
+            t = site.overlap(legs[i], legs[j])
             lhs = f.restrict(t, legs[i].dom)(sections[i])
             rhs = f.restrict(t, legs[j].dom)(sections[j])
             if lhs != rhs:
@@ -79,11 +71,11 @@ def compatible_families(f: Presheaf, cover: CoverFamily) -> list:
     """All compatible section tuples for a cover, by backtracking."""
     site = f.site
     legs = cover.legs
-    cache, maps = {}, {}  # overlap apexes; restriction maps per leg pair
+    maps = {}  # restriction maps per leg pair
 
     def agree(i, k, xi, xk):
         if (i, k) not in maps:
-            t = _overlap(site, cache, legs[i], legs[k])
+            t = site.overlap(legs[i], legs[k])
             maps[i, k] = (f.restrict(t, legs[i].dom), f.restrict(t, legs[k].dom))
         left, right = maps[i, k]
         return left(xi) == right(xk)
@@ -177,40 +169,28 @@ def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome, threshold):
         prod *= s
     if prod > threshold or len(legs) > 8:
         return False
-    cache = {}
-    overlaps = [
-        [_overlap(site, cache, a, b) for b in legs] for a in legs
-    ]
+    pairs = list(itertools.product(range(len(legs)), repeat=2))
+    lefts, rights = [], []  # restrictions of legs i and j to their overlap
+    for i, j in pairs:
+        w = site.overlap(legs[i], legs[j])
+        lefts.append((i, f.restrict(w, legs[i].dom)))
+        rights.append((j, f.restrict(w, legs[j].dom)))
     tuples = list(itertools.product(*(f.value(leg.dom) for leg in legs)))
     leg_obj = FinSetObj([_SEP.join(t) for t in tuples])
-    pair_tables = {}
     first_table, second_table = {}, {}
     pair_labels = []
     for t in tuples:
-        row = []
-        for i in range(len(legs)):
-            for j in range(len(legs)):
-                w = overlaps[i][j]
-                row.append(f.restrict(w, legs[i].dom)(t[i]))
-        first_table[_SEP.join(t)] = _SEP.join(row)
-        row2 = []
-        for i in range(len(legs)):
-            for j in range(len(legs)):
-                w = overlaps[i][j]
-                row2.append(f.restrict(w, legs[j].dom)(t[j]))
-        second_table[_SEP.join(t)] = _SEP.join(row2)
-        pair_labels.extend([first_table[_SEP.join(t)], second_table[_SEP.join(t)]])
+        key = _SEP.join(t)
+        first_table[key] = _SEP.join(m(t[i]) for i, m in lefts)
+        second_table[key] = _SEP.join(m(t[j]) for j, m in rights)
+        pair_labels.extend([first_table[key], second_table[key]])
     pair_obj = FinSetObj(sorted(set(pair_labels), key=label_key))
     first = FinMap(leg_obj, pair_obj, first_table)
     second = FinMap(leg_obj, pair_obj, second_table)
     sub, _ = finset.equalizer(first, second)
     target = cover.target
-    e_table = {
-        z: _SEP.join(
-            f.restrict(leg.dom, target)(z) for leg in legs
-        )
-        for z in f.value(target)
-    }
+    maps = [f.restrict(leg.dom, target) for leg in legs]
+    e_table = {z: _SEP.join(m(z) for m in maps) for z in f.value(target)}
     image = set(e_table.values())
     injective = len(image) == len(e_table)
     onto = image == set(sub.elements)
@@ -222,7 +202,7 @@ def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome, threshold):
         else VERDICT_PRESHEAF
     )
     if diagram_verdict != outcome.verdict:
-        raise QsheafError(
+        raise InternalDefect(
             "internal defect: family count and equalizer diagram disagree "
             f"on {cover!r} ({outcome.verdict} vs {diagram_verdict})"
         )
@@ -264,7 +244,7 @@ def check_sheaf_orthogonal(f: Presheaf, coverage: Coverage) -> SheafReport:
     report = SheafReport("orthogonal", VERDICT_SHEAF)
     y_cache, hom_y_cache = {}, {}
     for cover in coverage.all_families():
-        cu = canon(cover.target)
+        cu = site.name(cover.target)
         if cu not in y_cache:
             y_cache[cu] = yoneda(site, cover.target)
             hom_y_cache[cu] = hom_presheaves(y_cache[cu], f)
@@ -303,7 +283,7 @@ def check_sheaf(f: Presheaf, coverage: Coverage, method: str = "both"):
     first = check_sheaf_equalizer(f, coverage)
     second = check_sheaf_orthogonal(f, coverage)
     if first.verdict != second.verdict:
-        raise QsheafError(
+        raise InternalDefect(
             "internal defect: sheaf checkers disagree "
             f"({first.verdict} vs {second.verdict})"
         )
@@ -319,12 +299,12 @@ def shift_presheaf(f: Presheaf, u) -> Presheaf:
     site = f.site
     at, res = {}, {}
     for v in site.objects():
-        at[canon(v)] = f.value(site.tensor_obj(u, v))
+        at[site.name(v)] = f.value(site.tensor_obj(u, v))
     for v in site.objects():
         for v2 in site.objects():
-            if not site.leq(v2, v) or canon(v2) == canon(v):
+            if not site.leq(v2, v) or site.name(v2) == site.name(v):
                 continue
-            res[(canon(v2), canon(v))] = f.restrict(
+            res[(site.name(v2), site.name(v))] = f.restrict(
                 site.tensor_obj(u, v2), site.tensor_obj(u, v)
             )
     return Presheaf(site, at, res)
@@ -340,12 +320,12 @@ def product_sheaf(f: Presheaf, g: Presheaf) -> Presheaf:
             for x in f.value(a)
             for y in g.value(b)
         ]
-        at[canon((a, b))] = FinSetObj(labels)
+        at[site.name((a, b))] = FinSetObj(labels)
     for (a, b) in site.objects():
         for (a2, b2) in site.objects():
             if not site.leq((a2, b2), (a, b)):
                 continue
-            if canon((a2, b2)) == canon((a, b)):
+            if site.name((a2, b2)) == site.name((a, b)):
                 continue
             fm, gm = f.restrict(a2, a), g.restrict(b2, b)
             table = {
@@ -353,8 +333,8 @@ def product_sheaf(f: Presheaf, g: Presheaf) -> Presheaf:
                 for x in f.value(a)
                 for y in g.value(b)
             }
-            res[(canon((a2, b2)), canon((a, b)))] = FinMap(
-                at[canon((a, b))], at[canon((a2, b2))], table
+            res[(site.name((a2, b2)), site.name((a, b)))] = FinMap(
+                at[site.name((a, b))], at[site.name((a2, b2))], table
             )
     return Presheaf(site, at, res)
 
@@ -366,19 +346,19 @@ def product_sheaf(f: Presheaf, g: Presheaf) -> Presheaf:
 def _down_set_supports(site, quantale, u):
     """Down-closed subsets of the principal down-set of u joining to u."""
     below = [w for w in site.objects() if site.leq(w, u)]
-    below.sort(key=canon)
+    below.sort(key=site.name)
     supports = []
     for mask in itertools.product([False, True], repeat=len(below)):
         chosen = [w for w, keep in zip(below, mask) if keep]
-        names = {canon(w) for w in chosen}
+        names = {site.name(w) for w in chosen}
         if any(
-            canon(v) not in names
+            site.name(v) not in names
             for w in chosen
             for v in site.objects()
             if site.leq(v, w)
         ):
             continue
-        if quantale.join(sorted(names)) != canon(u):
+        if quantale.join(sorted(names)) != site.name(u):
             continue
         supports.append(tuple(sorted(names)))
     return supports
@@ -391,7 +371,7 @@ def _matching_families(f: Presheaf, order, support):
     a member with anything of the support above it has its section forced.
     """
     site = f.site
-    members = [w for w in reversed(order) if canon(w) in support]
+    members = [w for w in reversed(order) if site.name(w) in support]
 
     def sections(k, chosen):
         w = members[k]
@@ -404,7 +384,7 @@ def _matching_families(f: Presheaf, order, support):
             return []
         return list(forced) or f.value(w).elements
 
-    names = [canon(w) for w in members]
+    names = [site.name(w) for w in members]
     return [
         tuple(sorted(zip(names, fam)))
         for fam in backtrack(len(members), sections)
@@ -430,7 +410,7 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
             "canonical coverage"
         )
     quantale = coverage.quantale
-    objs = {canon(w): w for w in site.objects()}
+    objs = {site.name(w): w for w in site.objects()}
     order = site_order(site)[0]
 
     germs_at = {}
@@ -440,7 +420,7 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
             for fam in _matching_families(f, order, support):
                 germs.append((support, fam))
         germs.sort()
-        germs_at[canon(u)] = germs
+        germs_at[site.name(u)] = germs
 
     def agree(g1, g2):
         s1, s2 = set(g1[0]), set(g2[0])
@@ -449,7 +429,7 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
 
     uf_at, labels_at = {}, {}
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         germs = germs_at[cu]
         keys = [repr(g) for g in germs]
         uf = UnionFind(keys)
@@ -481,9 +461,9 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
     }
     res = {}
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         for v in site.objects():
-            cv = canon(v)
+            cv = site.name(v)
             if cv == cu or not site.leq(v, u):
                 continue
             table = {}
@@ -491,7 +471,7 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
                 src = class_of(germ, cu)
                 dst = class_of(restrict_germ(germ, v), cv)
                 if table.get(src, dst) != dst:
-                    raise QsheafError(
+                    raise InternalDefect(
                         "internal defect: densification restriction is "
                         f"ill-defined at {cv} <= {cu}"
                     )
@@ -501,9 +481,9 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
 
     comps = {}
     for u in site.objects():
-        cu = canon(u)
+        cu = site.name(u)
         below = tuple(
-            sorted(canon(w) for w in site.objects() if site.leq(w, u))
+            sorted(site.name(w) for w in site.objects() if site.leq(w, u))
         )
         table = {}
         for x in f.value(u):

@@ -391,6 +391,48 @@ class TestExitCodes:
         report = json.loads(report_path.read_text())
         assert [v["check"] for v in report["verdicts"]] == ["sheaf-orthogonal"]
 
+    def test_checker_disagreement_is_an_internal_defect(self, tmp_path, monkeypatch):
+        """Disagreeing sheaf checkers are a bug in qsheaf, not bad input."""
+        import qsheaf.cli as cli
+        from qsheaf.sheaf import VERDICT_PRESHEAF, SheafReport
+
+        monkeypatch.setattr(
+            cli,
+            "check_sheaf_orthogonal",
+            lambda f, coverage: SheafReport("orthogonal", VERDICT_PRESHEAF),
+        )
+        stage(
+            tmp_path,
+            Case(
+                "",
+                {
+                    "s.json": corpus("site_luk3.json"),
+                    "c.json": corpus("coverage_canonical.json"),
+                    "p.json": corpus("presheaf_luk3_terminal.json"),
+                },
+                [],
+                0,
+            ),
+        )
+        report_path = tmp_path / "r.json"
+        code = main(
+            [
+                "check-sheaf",
+                str(tmp_path / "s.json"),
+                str(tmp_path / "c.json"),
+                str(tmp_path / "p.json"),
+                "--method",
+                "both",
+                "--json",
+                str(report_path),
+            ]
+        )
+        assert code == 4
+        report = json.loads(report_path.read_text())
+        defects = [v for v in report["verdicts"] if v["check"] == "internal-defect"]
+        assert len(defects) == 1 and not defects[0]["ok"]
+        assert "equalizer=sheaf, orthogonal=presheaf" in defects[0]["witness"]
+
 
 # ---------------------------------------------------------------------------
 # determinism of the report bytes

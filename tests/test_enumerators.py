@@ -2,7 +2,9 @@
 
 Each enumerator built on `presheaf.backtrack` is compared with a search
 over every candidate, filtered by the defining predicate, on the corpus
-sites and presheaves.
+sites and presheaves. The per-site tables the enumerators read (the site
+order, its Hasse lists and the overlap apexes) are checked the same way,
+and are shown to be built once per site and never handed out mutable.
 """
 
 import functools
@@ -11,17 +13,19 @@ import json
 
 import pytest
 
-from qsheaf.cli import corpus_dir
+import qsheaf.presheaf
+from qsheaf.cli import corpus_dir, main
 from qsheaf.coverage import (
     canonical_quantale_coverage,
     parse_coverage,
     product_coverage,
 )
 from qsheaf.finset import FinSetObj, all_maps
-from qsheaf.moncat import ThinCategory, canon
+from qsheaf.moncat import ThinCategory, canon, pseudo_pullback
 from qsheaf.presheaf import (
     Presheaf,
     PresheafMorphism,
+    hasse_edges,
     hom_presheaves,
     parse_presheaf,
     site_order,
@@ -214,3 +218,83 @@ def test_matching_families_are_every_matching_choice(key):
                         )
                 found = _matching_families(f, order, support)
                 assert sorted(found) == sorted(brute)
+
+
+# ---------------------------------------------------------------------------
+# the per-site tables
+
+
+def test_site_order_matches_its_definition(corpus_site):
+    site = corpus_site[0]
+    objs = site.objects()
+    down_size = {u: sum(site.leq(v, u) for v in objs) for u in objs}
+    edges = hasse_edges(site)
+    order, downs, ups = site_order(site)
+    assert order == tuple(sorted(objs, key=lambda u: (down_size[u], canon(u))))
+    for u in objs:
+        assert downs[u] == tuple(v for v, w in edges if w == u)
+        assert ups[u] == tuple(w for v, w in edges if v == u)
+
+
+def test_site_tables_cannot_be_changed_by_a_caller(corpus_site):
+    site, _, _, presheaves = corpus_site
+    objs = site.objects()
+    order, downs, ups = site_order(site)
+    expected = (list(order), dict(downs), dict(ups))
+    objs.reverse()
+    mine = list(order)
+    mine.reverse()
+    with pytest.raises(AttributeError):
+        order.reverse()
+    with pytest.raises(TypeError):
+        downs[order[0]] = ()
+    with pytest.raises(AttributeError):
+        ups[order[0]].append(order[0])
+    hom_presheaves(presheaves[0], presheaves[0])
+    _subpresheaves(presheaves[0])
+    order, downs, ups = site_order(site)
+    assert (list(order), dict(downs), dict(ups)) == expected
+    assert site.objects() == sorted(objs, key=canon)
+
+
+def test_one_hasse_scan_per_site(tmp_path, monkeypatch):
+    """`sheafify --certify-battery 2` and `sub` each build one site, scanned once."""
+    scanned = []
+
+    def counting(site):
+        scanned.append(site)
+        return hasse_edges(site)
+
+    monkeypatch.setattr(qsheaf.presheaf, "hasse_edges", counting)
+    site = str(corpus_dir() / "site_product_chain2_luk3.json")
+    coverage = str(corpus_dir() / "coverage_canonical.json")
+    presheaf = str(corpus_dir() / "presheaf_product_terminal.json")
+    out = str(tmp_path / "out.json")
+    assert main(["sheafify", site, coverage, presheaf,
+                 "--certify-battery", "2", "--out", out]) == 0
+    assert main(["sub", site, coverage, presheaf]) == 0
+    assert len(scanned) == 2 and scanned[0] is not scanned[1]
+
+
+def _corpus_coverages():
+    """(site, coverage) for every corpus site's canonical and trivial coverage."""
+    for key in sorted(SITES):
+        site, _, coverages, _ = load(key)
+        for coverage in coverages:
+            yield site, coverage
+    q = validate_quantale(corpus("site_ideals4.json"))
+    site = ThinCategory.from_quantale(q)
+    yield site, canonical_quantale_coverage(q, site)
+    yield site, parse_coverage(
+        site, corpus("coverage_trivial_ideals4.json"), quantale=q
+    )
+
+
+def test_overlap_table_holds_the_pseudo_pullback_apexes():
+    pairs = 0
+    for site, coverage in _corpus_coverages():
+        for cover in coverage.all_families():
+            for a, b in itertools.product(cover.legs, repeat=2):
+                assert site.overlap(a, b) == pseudo_pullback(site, a, b).obj
+                pairs += 1
+    assert pairs
