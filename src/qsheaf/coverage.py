@@ -33,7 +33,6 @@ from .moncat import (
     ThinCategory,
     canon,
     exists_l_r_factorizations,
-    is_semicartesian,
     pseudo_pullback,
 )
 from .quantale import Quantale
@@ -428,27 +427,17 @@ def _check_ppb_stability(cov: Coverage):
         id_u = site.identity(u)
         for v in site.objects():
             for g in site.hom(v, u):
-                for side in ("right", "left"):
-                    if side == "right":
-                        base = pseudo_pullback(site, id_u, g)
-                        phis = []
-                        for f in fam.legs:
-                            piece = pseudo_pullback(site, f, g)
-                            arrow = site.compose(
-                                site.tensor_mor(f, site.identity(v)),
-                                piece.into,
-                            )
-                            phis.append(site.factor_through_mono(base.into, arrow))
-                    else:
-                        base = pseudo_pullback(site, g, id_u)
-                        phis = []
-                        for f in fam.legs:
-                            piece = pseudo_pullback(site, g, f)
-                            arrow = site.compose(
-                                site.tensor_mor(site.identity(v), f),
-                                piece.into,
-                            )
-                            phis.append(site.factor_through_mono(base.into, arrow))
+                # the left side is the right side with every pair swapped
+                for side, turn in (("right", 1), ("left", -1)):
+                    base = pseudo_pullback(site, *(id_u, g)[::turn])
+                    phis = []
+                    for f in fam.legs:
+                        piece = pseudo_pullback(site, *(f, g)[::turn])
+                        arrow = site.compose(
+                            site.tensor_mor(*(f, site.identity(v))[::turn]),
+                            piece.into,
+                        )
+                        phis.append(site.factor_through_mono(base.into, arrow))
                     checked += 1
                     if any(phi is None for phi in phis):
                         return AxiomEntry(

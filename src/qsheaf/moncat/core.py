@@ -29,7 +29,8 @@ from ..errors import (
     NotSemicartesian,
     QsheafError,
 )
-from ..finset import FinMap, FinSetObj, label_key
+from ..finset import FinMap, FinSetObj
+from ..quantale import _closure
 
 
 def canon(obj) -> str:
@@ -215,6 +216,12 @@ class ThinCategory(MonoidalCategory):
         self.is_cartesian = self._tensor_is_meet()
         self._names = {u: canon(u) for u in self._elements}
         self._sorted = sorted(self._elements, key=self._names.__getitem__)
+        self._pairs = tuple(
+            (v, u)
+            for u in self._sorted
+            for v in self._sorted
+            if v != u and (v, u) in self._leq
+        )
         self._order = None  # (order, downs, ups), built by presheaf.site_order
         self._apexes = {}  # (a.dom, b.dom, cod) -> pseudo-pullback apex
 
@@ -230,15 +237,7 @@ class ThinCategory(MonoidalCategory):
 
     @classmethod
     def from_ordered_monoid(cls, elements, leq_pairs, mul, unit):
-        closure = {(a, a) for a in elements}
-        closure.update(tuple(p) for p in leq_pairs)
-        changed = True
-        while changed:
-            changed = False
-            for (a, b), (c, d) in itertools.product(list(closure), repeat=2):
-                if b == c and (a, d) not in closure:
-                    closure.add((a, d))
-                    changed = True
+        closure = _closure(elements, [tuple(p) for p in leq_pairs])
         return cls(elements, closure, mul, unit=unit)
 
     @classmethod
@@ -277,6 +276,15 @@ class ThinCategory(MonoidalCategory):
 
     def objects(self):
         return list(self._sorted)
+
+    def pairs(self) -> tuple:
+        """Every ``(v, u)`` with ``v`` strictly below ``u``, built once per site.
+
+        Ordered by ``u`` and then by ``v``, each in `objects` order. These
+        are the pairs a presheaf gives a restriction map besides the
+        identities.
+        """
+        return self._pairs
 
     def name(self, u) -> str:
         """The canonical name of an object, looked up for members."""

@@ -47,26 +47,19 @@ class Presheaf:
             if not isinstance(value, FinSetObj):
                 value = FinSetObj(value)
             self._at[cu] = value
-        self._res = {}
-        for u in site.objects():
-            cu = site.name(u)
-            for v in site.objects():
-                cv = site.name(v)
-                if not site.leq(v, u):
-                    continue
-                if cv == cu:
-                    self._res[(cv, cu)] = finset.identity(self._at[cu])
-                    continue
-                if (cv, cu) not in res:
-                    raise MissingRestriction(f"no restriction for {cv} <= {cu}")
-                m = res[(cv, cu)]
-                if not isinstance(m, FinMap):
-                    m = FinMap(self._at[cu], self._at[cv], m)
-                if m.dom != self._at[cu] or m.cod != self._at[cv]:
-                    raise MissingRestriction(
-                        f"restriction for {cv} <= {cu} has wrong endpoints"
-                    )
-                self._res[(cv, cu)] = m
+        self._res = {(cu, cu): finset.identity(a) for cu, a in self._at.items()}
+        for v, u in site.pairs():
+            cv, cu = site.name(v), site.name(u)
+            if (cv, cu) not in res:
+                raise MissingRestriction(f"no restriction for {cv} <= {cu}")
+            m = res[(cv, cu)]
+            if not isinstance(m, FinMap):
+                m = FinMap(self._at[cu], self._at[cv], m)
+            if m.dom != self._at[cu] or m.cod != self._at[cv]:
+                raise MissingRestriction(
+                    f"restriction for {cv} <= {cu} has wrong endpoints"
+                )
+            self._res[(cv, cu)] = m
 
     def value(self, u) -> FinSetObj:
         return self._at[self.site.name(u)]
@@ -206,38 +199,23 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
 def yoneda(site: ThinCategory, u) -> Presheaf:
     """y(u): singleton below u, empty elsewhere, forced restrictions."""
     _require_thin(site)
-    at, res = {}, {}
-    for w in site.objects():
-        at[site.name(w)] = FinSetObj(["*"] if site.leq(w, u) else [])
-    for a in site.objects():
-        for b in site.objects():
-            if site.leq(a, b) and site.name(a) != site.name(b):
-                table = {"*": "*"} if site.leq(b, u) and site.leq(a, u) else {}
-                res[(site.name(a), site.name(b))] = FinMap(
-                    at[site.name(b)], at[site.name(a)], table
-                )
+    at = {site.name(w): ["*"] if site.leq(w, u) else [] for w in site.objects()}
+    res = {
+        (site.name(a), site.name(b)): {"*": "*"} if site.leq(b, u) else {}
+        for a, b in site.pairs()
+    }
     return Presheaf(site, at, res)
 
 
 def terminal_presheaf(site: ThinCategory) -> Presheaf:
-    at = {site.name(u): FinSetObj(["*"]) for u in site.objects()}
-    res = {
-        (site.name(v), site.name(u)): {"*": "*"}
-        for u in site.objects()
-        for v in site.objects()
-        if site.leq(v, u) and site.name(v) != site.name(u)
-    }
+    at = {site.name(u): ["*"] for u in site.objects()}
+    res = {(site.name(v), site.name(u)): {"*": "*"} for v, u in site.pairs()}
     return Presheaf(site, at, res)
 
 
 def empty_presheaf(site: ThinCategory) -> Presheaf:
-    at = {site.name(u): FinSetObj([]) for u in site.objects()}
-    res = {
-        (site.name(v), site.name(u)): {}
-        for u in site.objects()
-        for v in site.objects()
-        if site.leq(v, u) and site.name(v) != site.name(u)
-    }
+    at = {site.name(u): [] for u in site.objects()}
+    res = {(site.name(v), site.name(u)): {} for v, u in site.pairs()}
     return Presheaf(site, at, res)
 
 
@@ -510,19 +488,11 @@ def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
             {uf.find(lab) for lab in labels}, key=label_key
         )
 
-    at = {cu: FinSetObj(reps) for cu, reps in classes.items()}
     res = {}
-    for u in objs:
-        cu = site.name(u)
-        for u2 in objs:
-            cu2 = site.name(u2)
-            if cu2 == cu or not site.leq(u2, u):
-                continue
-            table = {
-                rep: uf_by_obj[cu2].find(rep) for rep in classes[cu]
-            }
-            res[(cu2, cu)] = FinMap(at[cu], at[cu2], table)
-    return Presheaf(site, at, res)
+    for v, u in site.pairs():
+        cv, cu = site.name(v), site.name(u)
+        res[(cv, cu)] = {rep: uf_by_obj[cv].find(rep) for rep in classes[cu]}
+    return Presheaf(site, classes, res)
 
 
 def _day_parts(f: Presheaf, g: Presheaf, u):
@@ -539,40 +509,34 @@ def _day_parts(f: Presheaf, g: Presheaf, u):
     return out
 
 
-def day_projection1(f: Presheaf, g: Presheaf, conv: Presheaf = None):
-    """The map (f*g)(u) -> f(u) restricting the left factor down to u."""
+def _day_projection(f: Presheaf, g: Presheaf, conv, side: int):
+    """The map (f*g)(u) -> f(u) (side 0) or g(u) (side 1), restricting down to u."""
     site = f.site
     if not is_semicartesian(site):
-        raise NotSemicartesian("convolution projections need u <= v*w <= v")
+        raise NotSemicartesian(
+            f"convolution projections need u <= v*w <= {'vw'[side]}"
+        )
     if conv is None:
         conv = day_convolve(f, g)
+    factor = (f, g)[side]
     comps = {}
     for u in site.objects():
         parts = _day_parts(f, g, u)
-        table = {}
-        for rep in conv.value(u):
-            v, _, x, _ = parts[rep]
-            table[rep] = f.restrict(u, v)(x)
-        comps[site.name(u)] = FinMap(conv.value(u), f.value(u), table)
-    return PresheafMorphism(conv, f, comps)
+        comps[site.name(u)] = {
+            rep: factor.restrict(u, parts[rep][side])(parts[rep][2 + side])
+            for rep in conv.value(u)
+        }
+    return PresheafMorphism(conv, factor, comps)
+
+
+def day_projection1(f: Presheaf, g: Presheaf, conv: Presheaf = None):
+    """The map (f*g)(u) -> f(u) restricting the left factor down to u."""
+    return _day_projection(f, g, conv, 0)
 
 
 def day_projection2(f: Presheaf, g: Presheaf, conv: Presheaf = None):
     """The map (f*g)(u) -> g(u) restricting the right factor down to u."""
-    site = f.site
-    if not is_semicartesian(site):
-        raise NotSemicartesian("convolution projections need u <= v*w <= w")
-    if conv is None:
-        conv = day_convolve(f, g)
-    comps = {}
-    for u in site.objects():
-        parts = _day_parts(f, g, u)
-        table = {}
-        for rep in conv.value(u):
-            _, w, _, y = parts[rep]
-            table[rep] = g.restrict(u, w)(y)
-        comps[site.name(u)] = FinMap(conv.value(u), g.value(u), table)
-    return PresheafMorphism(conv, g, comps)
+    return _day_projection(f, g, conv, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -617,20 +581,10 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
         quotient, q = finset.coequalizer(first, second)
         at[cw] = quotient
         uf_by_obj[cw] = q
-    for u in site.objects():
-        cu = site.name(u)
-        for v in site.objects():
-            cv = site.name(v)
-            if cv == cu or not site.leq(v, u):
-                continue
-            table = {rep: uf_by_obj[cv](rep) for rep in at[cu]}
-            res[(cv, cu)] = FinMap(at[cu], at[cv], table)
+    for v, u in site.pairs():
+        cv, cu = site.name(v), site.name(u)
+        res[(cv, cu)] = {rep: uf_by_obj[cv](rep) for rep in at[cu]}
     s = Presheaf(site, at, res)
-    target_y = yoneda(site, target)
-    comps = {}
-    for w in site.objects():
-        cw = site.name(w)
-        table = {rep: "*" for rep in at[cw]}
-        comps[cw] = FinMap(at[cw], target_y.value(w), table)
-    canonical = PresheafMorphism(s, target_y, comps)
+    comps = {cw: {rep: "*" for rep in reps} for cw, reps in at.items()}
+    canonical = PresheafMorphism(s, yoneda(site, target), comps)
     return Sieve(cover, s, canonical)

@@ -132,38 +132,26 @@ def _forcing_step(f: Presheaf, exist, unify):
         tags, index = tags_at[cu]
         return label_at[cu][dsu_at[cu].find(index[tag])]
 
-    at = {
-        cu: FinSetObj(sorted(set(labels.values()), key=label_key))
-        for cu, labels in label_at.items()
-    }
+    at = {cu: set(labels.values()) for cu, labels in label_at.items()}
     res = {}
-    for u in site.objects():
-        cu = site.name(u)
-        for v in site.objects():
-            cv = site.name(v)
-            if cv == cu or not site.leq(v, u):
-                continue
-            table = {}
-            for tag in tags_at[cu][0]:
-                if tag[0] == "o":
-                    down = ("o", f.restrict(v, u)(tag[1]))
-                else:
-                    down = tag
-                src, dst = label_of(cu, tag), label_of(cv, down)
-                if table.get(src, dst) != dst:
-                    raise InternalDefect(
-                        "internal defect: forcing step restriction is "
-                        f"ill-defined at {cv} <= {cu}"
-                    )
-                table[src] = dst
-            res[(cv, cu)] = FinMap(at[cu], at[cv], table)
+    for v, u in site.pairs():
+        cv, cu = site.name(v), site.name(u)
+        table = res[(cv, cu)] = {}
+        for tag in tags_at[cu][0]:
+            if tag[0] == "o":
+                down = ("o", f.restrict(v, u)(tag[1]))
+            else:
+                down = tag
+            src, dst = label_of(cu, tag), label_of(cv, down)
+            if table.get(src, dst) != dst:
+                raise InternalDefect(
+                    "internal defect: forcing step restriction is "
+                    f"ill-defined at {cv} <= {cu}"
+                )
+            table[src] = dst
     nxt = Presheaf(site, at, res)
     comps = {
-        site.name(u): FinMap(
-            f.value(u),
-            nxt.value(u),
-            {x: label_of(site.name(u), ("o", x)) for x in f.value(u)},
-        )
+        site.name(u): {x: label_of(site.name(u), ("o", x)) for x in f.value(u)}
         for u in site.objects()
     }
     return nxt, PresheafMorphism(f, nxt, comps)
@@ -204,10 +192,7 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     at, res = {}, {}
 
     def rst(w, u):
-        cw, cu = site.name(w), site.name(u)
-        if cw == cu:
-            return finset.identity(at[cu])
-        return res[(cw, cu)]
+        return res[(site.name(w), site.name(u))]
 
     def sheaf_ok_at(u):
         for cover in covers_by_target[u]:
@@ -247,6 +232,7 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
         kids = children[u]
         for size in range(max_size + 1):
             at[cu] = FinSetObj(labels[:size])
+            res[(cu, cu)] = finset.identity(at[cu])
             options = [
                 [
                     FinMap(at[cu], at[site.name(v)], dict(zip(at[cu], targets)))
@@ -274,7 +260,7 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
                     yield combo
                 for w in strict_below:
                     res.pop((site.name(w), cu), None)
-            del at[cu]
+            del at[cu], res[(cu, cu)]
 
     results = [
         Presheaf(site, dict(at), dict(res))
@@ -466,18 +452,11 @@ def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
 
     out = []
     for choice in backtrack(len(order), subsets):
-        at = {site.name(u): FinSetObj(xs) for u, xs in zip(order, choice)}
+        at = {site.name(u): xs for u, xs in zip(order, choice)}
         res = {}
-        for u in site.objects():
-            cu = site.name(u)
-            for v in site.objects():
-                cv = site.name(v)
-                if cv == cu or not site.leq(v, u):
-                    continue
-                m = f.restrict(v, u)
-                res[(cv, cu)] = FinMap(
-                    at[cu], at[cv], {x: m(x) for x in at[cu]}
-                )
+        for v, u in site.pairs():
+            m = f.restrict(v, u)
+            res[(site.name(v), site.name(u))] = {x: m(x) for x in at[site.name(u)]}
         out.append(Presheaf(site, at, res))
     return out
 
@@ -496,12 +475,7 @@ def subsheaf_lattice(f: Presheaf, coverage: Coverage,
     site = f.site
     inclusions = []
     for p in members:
-        comps = {
-            site.name(u): FinMap(
-                p.value(u), f.value(u), {x: x for x in p.value(u)}
-            )
-            for u in f.objects()
-        }
+        comps = {site.name(u): {x: x for x in p.value(u)} for u in f.objects()}
         inclusions.append(PresheafMorphism(p, f, comps, check=False))
     return SubobjectLattice(f, coverage, members, inclusions)
 
@@ -544,14 +518,7 @@ def extremal_factorize(
     for i in candidates[1:]:
         least = lattice.meet(least, i)
     target = lattice.members[least]
-    comps = {
-        site.name(u): FinMap(
-            m.src.value(u),
-            target.value(u),
-            {x: m.component(u)(x) for x in m.src.value(u)},
-        )
-        for u in f.objects()
-    }
+    comps = {cu: c.assignment for cu, c in m.components.items()}
     epi = PresheafMorphism(m.src, target, comps)
     mono = lattice.inclusions[least]
     if battery is None:
@@ -611,39 +578,24 @@ def star(
     phi2 = _extend_along_unit(result, p2.then(right))
     site = f.site
     r = result.sheaf
-    at = {}
-    for u in site.objects():
-        cu = site.name(u)
-        at[cu] = FinSetObj(
-            [
-                e
-                for e in r.value(u)
-                if phi1.component(u)(e) == phi2.component(u)(e)
-            ]
-        )
+    at = {
+        site.name(u): [
+            e for e in r.value(u) if phi1.component(u)(e) == phi2.component(u)(e)
+        ]
+        for u in site.objects()
+    }
     res = {}
-    for u in site.objects():
-        cu = site.name(u)
-        for v in site.objects():
-            cv = site.name(v)
-            if cv == cu or not site.leq(v, u):
-                continue
-            m = r.restrict(v, u)
-            table = {}
-            for e in at[cu]:
-                if m(e) not in at[cv].elements:
-                    raise InternalDefect(
-                        "internal defect: equalizer is not restriction-closed"
-                    )
-                table[e] = m(e)
-            res[(cv, cu)] = FinMap(at[cu], at[cv], table)
+    for v, u in site.pairs():
+        cv, cu = site.name(v), site.name(u)
+        m = r.restrict(v, u)
+        if any(m(e) not in at[cv] for e in at[cu]):
+            raise InternalDefect(
+                "internal defect: equalizer is not restriction-closed"
+            )
+        res[(cv, cu)] = {e: m(e) for e in at[cu]}
     eq = Presheaf(site, at, res)
     comps = {
-        site.name(u): FinMap(
-            eq.value(u),
-            f.value(u),
-            {e: phi1.component(u)(e) for e in eq.value(u)},
-        )
+        site.name(u): {e: phi1.component(u)(e) for e in at[site.name(u)]}
         for u in site.objects()
     }
     into_f = PresheafMorphism(eq, f, comps)
@@ -755,51 +707,34 @@ def pointwise_pullback(phi1: PresheafMorphism, phi2: PresheafMorphism):
         raise SiteMismatch("pullback needs morphisms into a common codomain")
     left, right = phi1.src, phi2.src
     site = left.site
-    at = {}
-    for u in site.objects():
-        cu = site.name(u)
-        labels = [
-            finset.pair_label(x, y)
-            for x in left.value(u).elements
-            for y in right.value(u).elements
+    sections = {
+        site.name(u): [
+            (x, y)
+            for x in left.value(u)
+            for y in right.value(u)
             if phi1.component(u)(x) == phi2.component(u)(y)
         ]
-        at[cu] = FinSetObj(labels)
+        for u in site.objects()
+    }
+    at = {
+        cu: [finset.pair_label(x, y) for x, y in xys]
+        for cu, xys in sections.items()
+    }
     res = {}
-    for u in site.objects():
-        for v in site.objects():
-            if not site.leq(v, u) or site.name(u) == site.name(v):
-                continue
-            lr = left.restrict(v, u)
-            rr = right.restrict(v, u)
-            table = {}
-            for x in left.value(u).elements:
-                for y in right.value(u).elements:
-                    key = finset.pair_label(x, y)
-                    if key in at[site.name(u)].elements:
-                        table[key] = finset.pair_label(lr(x), rr(y))
-            res[(site.name(v), site.name(u))] = FinMap(
-                at[site.name(u)], at[site.name(v)], table
-            )
+    for v, u in site.pairs():
+        lr, rr = left.restrict(v, u), right.restrict(v, u)
+        res[(site.name(v), site.name(u))] = {
+            finset.pair_label(x, y): finset.pair_label(lr(x), rr(y))
+            for x, y in sections[site.name(u)]
+        }
     apex = Presheaf(site, at, res)
-    proj1 = PresheafMorphism(apex, left, {
-        site.name(u): FinMap(apex.value(u), left.value(u), {
-            finset.pair_label(x, y): x
-            for x in left.value(u).elements
-            for y in right.value(u).elements
-            if finset.pair_label(x, y) in apex.value(u).elements
+    proj1, proj2 = (
+        PresheafMorphism(apex, factor, {
+            cu: {finset.pair_label(*xy): xy[side] for xy in xys}
+            for cu, xys in sections.items()
         })
-        for u in site.objects()
-    })
-    proj2 = PresheafMorphism(apex, right, {
-        site.name(u): FinMap(apex.value(u), right.value(u), {
-            finset.pair_label(x, y): y
-            for x in left.value(u).elements
-            for y in right.value(u).elements
-            if finset.pair_label(x, y) in apex.value(u).elements
-        })
-        for u in site.objects()
-    })
+        for side, factor in enumerate((left, right))
+    )
     return apex, proj1, proj2
 
 

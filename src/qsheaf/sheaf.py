@@ -297,45 +297,33 @@ def check_sheaf(f: Presheaf, coverage: Coverage, method: str = "both"):
 def shift_presheaf(f: Presheaf, u) -> Presheaf:
     """The presheaf v -> f(u * v); shifts of sheaves stay sheaves."""
     site = f.site
-    at, res = {}, {}
-    for v in site.objects():
-        at[site.name(v)] = f.value(site.tensor_obj(u, v))
-    for v in site.objects():
-        for v2 in site.objects():
-            if not site.leq(v2, v) or site.name(v2) == site.name(v):
-                continue
-            res[(site.name(v2), site.name(v))] = f.restrict(
-                site.tensor_obj(u, v2), site.tensor_obj(u, v)
-            )
+    at = {site.name(v): f.value(site.tensor_obj(u, v)) for v in site.objects()}
+    res = {
+        (site.name(v2), site.name(v)): f.restrict(
+            site.tensor_obj(u, v2), site.tensor_obj(u, v)
+        )
+        for v2, v in site.pairs()
+    }
     return Presheaf(site, at, res)
 
 
 def product_sheaf(f: Presheaf, g: Presheaf) -> Presheaf:
     """The pointwise product presheaf on the product site."""
     site = ThinCategory.product(f.site, g.site)
-    at, res = {}, {}
-    for (a, b) in site.objects():
-        labels = [
-            finset.pair_label(x, y)
+    at = {
+        site.name((a, b)): [
+            finset.pair_label(x, y) for x in f.value(a) for y in g.value(b)
+        ]
+        for a, b in site.objects()
+    }
+    res = {}
+    for (a2, b2), (a, b) in site.pairs():
+        fm, gm = f.restrict(a2, a), g.restrict(b2, b)
+        res[(site.name((a2, b2)), site.name((a, b)))] = {
+            finset.pair_label(x, y): finset.pair_label(fm(x), gm(y))
             for x in f.value(a)
             for y in g.value(b)
-        ]
-        at[site.name((a, b))] = FinSetObj(labels)
-    for (a, b) in site.objects():
-        for (a2, b2) in site.objects():
-            if not site.leq((a2, b2), (a, b)):
-                continue
-            if site.name((a2, b2)) == site.name((a, b)):
-                continue
-            fm, gm = f.restrict(a2, a), g.restrict(b2, b)
-            table = {
-                finset.pair_label(x, y): finset.pair_label(fm(x), gm(y))
-                for x in f.value(a)
-                for y in g.value(b)
-            }
-            res[(site.name((a2, b2)), site.name((a, b)))] = FinMap(
-                at[site.name((a, b))], at[site.name((a2, b2))], table
-            )
+        }
     return Presheaf(site, at, res)
 
 
@@ -455,28 +443,20 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
     def class_of(germ, cv):
         return labels_at[cv][uf_at[cv].find(repr(germ))]
 
-    at = {
-        cu: FinSetObj(sorted(labels.values()))
-        for cu, labels in labels_at.items()
-    }
+    at = {cu: list(labels.values()) for cu, labels in labels_at.items()}
     res = {}
-    for u in site.objects():
-        cu = site.name(u)
-        for v in site.objects():
-            cv = site.name(v)
-            if cv == cu or not site.leq(v, u):
-                continue
-            table = {}
-            for germ in germs_at[cu]:
-                src = class_of(germ, cu)
-                dst = class_of(restrict_germ(germ, v), cv)
-                if table.get(src, dst) != dst:
-                    raise InternalDefect(
-                        "internal defect: densification restriction is "
-                        f"ill-defined at {cv} <= {cu}"
-                    )
-                table[src] = dst
-            res[(cv, cu)] = FinMap(at[cu], at[cv], table)
+    for v, u in site.pairs():
+        cv, cu = site.name(v), site.name(u)
+        table = res[(cv, cu)] = {}
+        for germ in germs_at[cu]:
+            src = class_of(germ, cu)
+            dst = class_of(restrict_germ(germ, v), cv)
+            if table.get(src, dst) != dst:
+                raise InternalDefect(
+                    "internal defect: densification restriction is "
+                    f"ill-defined at {cv} <= {cu}"
+                )
+            table[src] = dst
     plus = Presheaf(site, at, res)
 
     comps = {}
@@ -485,13 +465,12 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
         below = tuple(
             sorted(site.name(w) for w in site.objects() if site.leq(w, u))
         )
-        table = {}
+        table = comps[cu] = {}
         for x in f.value(u):
             fam = tuple(
                 sorted((name, f.restrict(objs[name], u)(x)) for name in below)
             )
             table[x] = class_of((below, fam), cu)
-        comps[cu] = FinMap(f.value(u), plus.value(u), table)
     unit = PresheafMorphism(f, plus, comps)
     return plus, unit
 

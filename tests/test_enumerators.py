@@ -13,7 +13,9 @@ import json
 
 import pytest
 
+import qsheaf.finset
 import qsheaf.presheaf
+import qsheaf.reflect
 from qsheaf.cli import corpus_dir, main
 from qsheaf.coverage import (
     canonical_quantale_coverage,
@@ -234,13 +236,15 @@ def test_site_order_matches_its_definition(corpus_site):
     for u in objs:
         assert downs[u] == tuple(v for v, w in edges if w == u)
         assert ups[u] == tuple(w for v, w in edges if v == u)
+    assert site.pairs() == tuple(comparable(site))
 
 
 def test_site_tables_cannot_be_changed_by_a_caller(corpus_site):
     site, _, _, presheaves = corpus_site
     objs = site.objects()
     order, downs, ups = site_order(site)
-    expected = (list(order), dict(downs), dict(ups))
+    pairs = site.pairs()
+    expected = (list(order), dict(downs), dict(ups), list(pairs))
     objs.reverse()
     mine = list(order)
     mine.reverse()
@@ -250,10 +254,13 @@ def test_site_tables_cannot_be_changed_by_a_caller(corpus_site):
         downs[order[0]] = ()
     with pytest.raises(AttributeError):
         ups[order[0]].append(order[0])
+    assert isinstance(pairs, tuple)
+    with pytest.raises(AttributeError):
+        pairs.reverse()
     hom_presheaves(presheaves[0], presheaves[0])
     _subpresheaves(presheaves[0])
     order, downs, ups = site_order(site)
-    assert (list(order), dict(downs), dict(ups)) == expected
+    assert (list(order), dict(downs), dict(ups), list(site.pairs())) == expected
     assert site.objects() == sorted(objs, key=canon)
 
 
@@ -274,6 +281,32 @@ def test_one_hasse_scan_per_site(tmp_path, monkeypatch):
                  "--certify-battery", "2", "--out", out]) == 0
     assert main(["sub", site, coverage, presheaf]) == 0
     assert len(scanned) == 2 and scanned[0] is not scanned[1]
+
+
+def test_battery_builds_one_identity_per_value_set(monkeypatch):
+    """Identity restrictions are made when a value set is chosen, not per lookup."""
+    site, _, coverages, _ = load("product")
+    max_size = 2
+    slots, made = [], []
+    backtrack, identity = qsheaf.reflect.backtrack, qsheaf.finset.identity
+
+    def counting_backtrack(n, options):
+        def counted(k, chosen):
+            if options.__name__ == "tables":
+                slots.append(k)
+            return options(k, chosen)
+        return backtrack(n, counted)
+
+    monkeypatch.setattr(qsheaf.reflect, "backtrack", counting_backtrack)
+    monkeypatch.setattr(
+        qsheaf.finset, "identity", lambda a: made.append(a) or identity(a)
+    )
+    battery = enumerate_sheaves(site, coverages[0], max_size=max_size)
+    # one per value set tried at a slot, one per object of each sheaf built
+    assert slots and battery
+    assert len(made) <= (max_size + 1) * len(slots) + len(
+        site.objects()
+    ) * len(battery)
 
 
 def _corpus_coverages():

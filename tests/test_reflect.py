@@ -12,7 +12,6 @@ from qsheaf.errors import (
 )
 from qsheaf.moncat import ThinCategory, canon
 from qsheaf.presheaf import (
-    PresheafMorphism,
     day_convolve,
     hom_presheaves,
     iso_presheaves,
@@ -34,7 +33,7 @@ from qsheaf.reflect import (
     star,
     subsheaf_lattice,
 )
-from qsheaf.sheaf import check_sheaf, plus_construction
+from qsheaf.sheaf import check_sheaf, plus_construction, product_sheaf
 
 
 def site_of(name, param):
@@ -226,6 +225,31 @@ class TestPreservation:
         assert sizes == {"0": 1, "1": 0, "h": 2}
         record = probe_pullback_preservation(into, other, cov)
         assert record["converged"] and record["preserved"] is True
+
+    def test_colliding_pair_labels_are_rejected(self):
+        # ("a,b", "c") and ("a", "b,c") both print as "(a,b,c)": merging
+        # them would silently drop a section of the pullback and the product
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+        objs = ["0", "h", "1"]
+
+        def constant(labels):
+            return parse_presheaf(site, {
+                "at": {u: labels for u in objs},
+                "res": {
+                    f"{v}<={u}": {x: x for x in labels}
+                    for u in objs
+                    for v in objs[:objs.index(u)]
+                },
+            })
+
+        left, right = constant(["a,b", "a"]), constant(["c", "b,c"])
+        t = terminal_presheaf(site)
+        with pytest.raises(InvalidSpec):
+            pointwise_pullback(
+                hom_presheaves(left, t)[0], hom_presheaves(right, t)[0]
+            )
+        with pytest.raises(InvalidSpec):
+            product_sheaf(left, right)
 
 
 class TestSubobjects:
