@@ -35,7 +35,7 @@ from .errors import (
     NotConverged,
     QsheafError,
 )
-from .moncat import FinSetCategory, ProductCategory, ThinCategory, canon
+from .moncat import FinSetCategory, ProductCategory, ThinCategory
 from .moncat.coherence import verify_appendix_suite
 from .presheaf import parse_presheaf, validate_presheaf
 from .quantale import Quantale, build_standard, classify_quantale, validate_quantale
@@ -226,6 +226,23 @@ def _load_presheaf(raw, site, report: RunReport):
     return p
 
 
+def _load_inputs(args, report: RunReport):
+    """(site, coverage, presheaf) of a command; presheaf is None if it takes none.
+
+    Every file is read before any is parsed, so an unreadable file is
+    reported ahead of a malformed one.
+    """
+    site_raw = _read_json(args.site, report, "site")
+    cov_raw = _read_json(args.coverage, report, "coverage")
+    has_presheaf = hasattr(args, "presheaf")
+    if has_presheaf:
+        p_raw = _read_json(args.presheaf, report, "presheaf")
+    site, q, comps = _load_site(site_raw, report)
+    cov = _load_coverage(cov_raw, site, q, comps, report)
+    f = _load_presheaf(p_raw, site, report) if has_presheaf else None
+    return site, cov, f
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -253,10 +270,7 @@ def _cmd_check_quantale(args, report: RunReport, rng) -> int:
 
 
 def _cmd_check_prelopology(args, report: RunReport, rng) -> int:
-    site_raw = _read_json(args.site, report, "site")
-    cov_raw = _read_json(args.coverage, report, "coverage")
-    site, q, comps = _load_site(site_raw, report)
-    cov = _load_coverage(cov_raw, site, q, comps, report)
+    _, cov, _ = _load_inputs(args, report)
     report.configuration["families"] = cov.family_count()
     try:
         outcome = check_flavor(cov, args.flavor)
@@ -280,12 +294,7 @@ def _run_sheaf_methods(f, cov, methods, rng):
 
 
 def _cmd_check_sheaf(args, report: RunReport, rng) -> int:
-    site_raw = _read_json(args.site, report, "site")
-    cov_raw = _read_json(args.coverage, report, "coverage")
-    p_raw = _read_json(args.presheaf, report, "presheaf")
-    site, q, comps = _load_site(site_raw, report)
-    cov = _load_coverage(cov_raw, site, q, comps, report)
-    f = _load_presheaf(p_raw, site, report)
+    _, cov, f = _load_inputs(args, report)
     methods = ["equalizer", "orthogonal"] if args.method == "both" else [args.method]
     results = _run_sheaf_methods(f, cov, methods, rng)
     for name, outcome in results.items():
@@ -308,12 +317,7 @@ def _cmd_check_sheaf(args, report: RunReport, rng) -> int:
 
 
 def _cmd_sheafify(args, report: RunReport, rng) -> int:
-    site_raw = _read_json(args.site, report, "site")
-    cov_raw = _read_json(args.coverage, report, "coverage")
-    p_raw = _read_json(args.presheaf, report, "presheaf")
-    site, q, comps = _load_site(site_raw, report)
-    cov = _load_coverage(cov_raw, site, q, comps, report)
-    f = _load_presheaf(p_raw, site, report)
+    site, cov, f = _load_inputs(args, report)
     result = sheafify(f, cov, max_iter=args.max_iter)
     report.configuration["iterations"] = result.iterations
     if not result.converged:
@@ -342,12 +346,7 @@ def _cmd_sheafify(args, report: RunReport, rng) -> int:
 
 
 def _cmd_sub(args, report: RunReport, rng) -> int:
-    site_raw = _read_json(args.site, report, "site")
-    cov_raw = _read_json(args.coverage, report, "coverage")
-    p_raw = _read_json(args.presheaf, report, "presheaf")
-    site, q, comps = _load_site(site_raw, report)
-    cov = _load_coverage(cov_raw, site, q, comps, report)
-    f = _load_presheaf(p_raw, site, report)
+    site, cov, f = _load_inputs(args, report)
     try:
         lattice = subsheaf_lattice(f, cov)
     except InternalDefect:
@@ -358,7 +357,7 @@ def _cmd_sub(args, report: RunReport, rng) -> int:
     report.add("ambient-sheaf", True)
     members = []
     for i, m in enumerate(lattice.members):
-        sizes = {canon(u): len(m.value(u)) for u in site.objects()}
+        sizes = {site.name(u): len(m.value(u)) for u in site.objects()}
         members.append({"name": f"S{i}", "sizes": sizes})
     report.configuration["members"] = members
     battery = enumerate_sheaves(site, cov, max_size=2)

@@ -142,11 +142,9 @@ class Coverage:
         self.quantale = quantale
         self.mult_cap = mult_cap
         self.components = components
-        self._assign = {}
-        for fam in assign:
-            self._assign.setdefault(canon(fam.target), []).append(fam)
-        for fams in self._assign.values():
-            fams.sort(key=lambda f: f.key())
+        self._assign = {}  # target -> families, targets in name order
+        for fam in sorted(assign, key=CoverFamily.key):
+            self._assign.setdefault(fam.target, []).append(fam)
         self._member_keys = {
             fam.clamped_key(self.mult_cap)
             for fams in self._assign.values()
@@ -154,11 +152,11 @@ class Coverage:
         }
 
     def families(self, obj):
-        return list(self._assign.get(canon(obj), []))
+        return list(self._assign.get(obj, []))
 
     def all_families(self):
-        for name in sorted(self._assign):
-            yield from self._assign[name]
+        for fams in self._assign.values():
+            yield from fams
 
     def family_count(self) -> int:
         return sum(len(v) for v in self._assign.values())
@@ -173,8 +171,7 @@ class Coverage:
                 CoverFamily(fam.target[0], legs1)
             ) and right.contains(CoverFamily(fam.target[1], legs2))
         if self.join_rule:
-            doms = {canon(d) for d in fam.domains()}
-            joined = self.quantale.join(sorted(doms))
+            joined = self.quantale.join(sorted(set(fam.domains())))
             return joined == fam.target and all(
                 self.site.leq(d, fam.target) for d in fam.domains()
             )

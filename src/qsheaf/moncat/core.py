@@ -74,10 +74,7 @@ class Mor:
         )
 
     def __hash__(self):
-        data = self.data
-        if isinstance(data, tuple):
-            data = tuple(hash(d) for d in data)
-        return hash((canon(self.dom), canon(self.cod), data))
+        return hash((self.dom, self.cod, self.data))
 
     def key(self):
         return (canon(self.dom), canon(self.cod), _data_key(self.data))
@@ -371,7 +368,7 @@ class ThinCategory(MonoidalCategory):
         )
 
     def __hash__(self):
-        return hash((tuple(map(self.name, self._elements)), self.unit_obj is None))
+        return hash((tuple(self._elements), self.unit_obj is None))
 
     def __repr__(self):
         kind = "product thin" if self.components else "thin"

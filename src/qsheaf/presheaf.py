@@ -3,9 +3,14 @@
 A presheaf assigns a finite set to every object and a restriction map to
 every comparable pair, contravariantly. Everything downstream (sheaf
 checks, sieves, Day convolution, sheafification) works with the literal
-tables built here. Natural transformations are enumerated by fiber
-filtering along the Hasse diagram, which is complete because naturality
-on covering edges composes to naturality on all comparable pairs.
+tables built here. The tables are keyed by the site's objects: ``u`` for
+value sets and morphism components, ``(v, u)`` for restrictions. An
+object's canonical name (``"(0,h)"`` for the pair ``("0", "h")`` of a
+product site) appears only where text enters or leaves: in
+`parse_presheaf`, `Presheaf.to_raw`, reprs and messages. Natural
+transformations are enumerated by fiber filtering along the Hasse
+diagram, which is complete because naturality on covering edges composes
+to naturality on all comparable pairs.
 """
 
 from __future__ import annotations
@@ -40,36 +45,39 @@ class Presheaf:
         self.site = site
         self._at = {}
         for u in site.objects():
-            cu = site.name(u)
-            if cu not in at:
-                raise InvalidSpec(f"no value set for object {cu}")
-            value = at[cu]
+            if u not in at:
+                raise InvalidSpec(f"no value set for object {site.name(u)}")
+            value = at[u]
             if not isinstance(value, FinSetObj):
                 value = FinSetObj(value)
-            self._at[cu] = value
-        self._res = {(cu, cu): finset.identity(a) for cu, a in self._at.items()}
+            self._at[u] = value
+        self._res = {(u, u): finset.identity(a) for u, a in self._at.items()}
         for v, u in site.pairs():
-            cv, cu = site.name(v), site.name(u)
-            if (cv, cu) not in res:
-                raise MissingRestriction(f"no restriction for {cv} <= {cu}")
-            m = res[(cv, cu)]
-            if not isinstance(m, FinMap):
-                m = FinMap(self._at[cu], self._at[cv], m)
-            if m.dom != self._at[cu] or m.cod != self._at[cv]:
+            if (v, u) not in res:
                 raise MissingRestriction(
-                    f"restriction for {cv} <= {cu} has wrong endpoints"
+                    f"no restriction for {site.name(v)} <= {site.name(u)}"
                 )
-            self._res[(cv, cu)] = m
+            m = res[(v, u)]
+            if not isinstance(m, FinMap):
+                m = FinMap(self._at[u], self._at[v], m)
+            if m.dom != self._at[u] or m.cod != self._at[v]:
+                raise MissingRestriction(
+                    f"restriction for {site.name(v)} <= {site.name(u)} "
+                    "has wrong endpoints"
+                )
+            self._res[(v, u)] = m
 
     def value(self, u) -> FinSetObj:
-        return self._at[self.site.name(u)]
+        return self._at[u]
 
     def restrict(self, v, u) -> FinMap:
         """The map F(u) -> F(v) for v <= u."""
-        key = (self.site.name(v), self.site.name(u))
-        if key not in self._res:
-            raise MissingRestriction(f"no restriction for {key[0]} <= {key[1]}")
-        return self._res[key]
+        try:
+            return self._res[(v, u)]
+        except KeyError:
+            raise MissingRestriction(
+                f"no restriction for {self.site.name(v)} <= {self.site.name(u)}"
+            ) from None
 
     def objects(self):
         return self.site.objects()
@@ -78,12 +86,14 @@ class Presheaf:
         return sum(len(v) for v in self._at.values())
 
     def to_raw(self) -> dict:
-        at = {cu: list(v.elements) for cu, v in sorted(self._at.items())}
+        """The file form: tables keyed by names, in name order."""
+        name = self.site.name
+        at = {name(u): list(v.elements) for u, v in self._at.items()}
         res = {}
-        for (cv, cu), m in sorted(self._res.items()):
-            if cv == cu:
-                continue
-            res[f"{cv}<={cu}"] = {x: m(x) for x in m.dom}
+        pairs = sorted(self.site.pairs(), key=lambda vu: tuple(map(name, vu)))
+        for v, u in pairs:
+            m = self._res[(v, u)]
+            res[f"{name(v)}<={name(u)}"] = {x: m(x) for x in m.dom}
         return {"at": at, "res": res}
 
     def __eq__(self, other):
@@ -95,11 +105,11 @@ class Presheaf:
         )
 
     def __hash__(self):
-        return hash(tuple(sorted((k, v) for k, v in self._at.items())))
+        return hash(tuple(self._at.items()))
 
     def __repr__(self):
         sizes = ",".join(
-            f"{cu}:{len(v)}" for cu, v in sorted(self._at.items())
+            f"{self.site.name(u)}:{len(v)}" for u, v in self._at.items()
         )
         return f"Presheaf({sizes})"
 
@@ -132,13 +142,13 @@ class PresheafValidation:
 def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
     if not isinstance(raw, dict) or "at" not in raw:
         raise InvalidSpec("presheaf spec needs an 'at' table")
-    names = {site.name(u) for u in site.objects()}
+    objs = {site.name(u): u for u in site.objects()}
     at = {}
     for cu, labels in raw["at"].items():
-        if cu not in names:
+        if cu not in objs:
             raise InvalidSpec(f"unknown object {cu!r} in presheaf spec")
-        at[cu] = FinSetObj(labels)
-    missing = names - set(at)
+        at[objs[cu]] = FinSetObj(labels)
+    missing = objs.keys() - raw["at"].keys()
     if missing:
         raise InvalidSpec(f"presheaf spec misses objects {sorted(missing)}")
     res = {}
@@ -146,9 +156,10 @@ def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
         if "<=" not in key:
             raise InvalidSpec(f"restriction key {key!r} is not 'v<=u'")
         cv, cu = key.split("<=", 1)
-        if cv not in names or cu not in names:
+        if cv not in objs or cu not in objs:
             raise InvalidSpec(f"restriction key {key!r} names unknown objects")
-        res[(cv, cu)] = FinMap(at[cu], at[cv], dict(table))
+        v, u = objs[cv], objs[cu]
+        res[(v, u)] = FinMap(at[u], at[v], dict(table))
     return Presheaf(site, at, res)
 
 
@@ -199,23 +210,20 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
 def yoneda(site: ThinCategory, u) -> Presheaf:
     """y(u): singleton below u, empty elsewhere, forced restrictions."""
     _require_thin(site)
-    at = {site.name(w): ["*"] if site.leq(w, u) else [] for w in site.objects()}
-    res = {
-        (site.name(a), site.name(b)): {"*": "*"} if site.leq(b, u) else {}
-        for a, b in site.pairs()
-    }
+    at = {w: ["*"] if site.leq(w, u) else [] for w in site.objects()}
+    res = {(a, b): {"*": "*"} if site.leq(b, u) else {} for a, b in site.pairs()}
     return Presheaf(site, at, res)
 
 
 def terminal_presheaf(site: ThinCategory) -> Presheaf:
-    at = {site.name(u): ["*"] for u in site.objects()}
-    res = {(site.name(v), site.name(u)): {"*": "*"} for v, u in site.pairs()}
+    at = {u: ["*"] for u in site.objects()}
+    res = {vu: {"*": "*"} for vu in site.pairs()}
     return Presheaf(site, at, res)
 
 
 def empty_presheaf(site: ThinCategory) -> Presheaf:
-    at = {site.name(u): [] for u in site.objects()}
-    res = {(site.name(v), site.name(u)): {} for v, u in site.pairs()}
+    at = {u: [] for u in site.objects()}
+    res = {vu: {} for vu in site.pairs()}
     return Presheaf(site, at, res)
 
 
@@ -234,25 +242,24 @@ class PresheafMorphism:
             raise SiteMismatch("morphism endpoints live on different sites")
         comps = {}
         for u in src.objects():
-            cu = src.site.name(u)
-            if cu not in components:
-                raise InvalidSpec(f"missing component at {cu}")
-            m = components[cu]
+            if u not in components:
+                raise InvalidSpec(f"missing component at {src.site.name(u)}")
+            m = components[u]
             if not isinstance(m, FinMap):
                 m = FinMap(src.value(u), dst.value(u), m)
             if m.dom != src.value(u) or m.cod != dst.value(u):
-                raise InvalidSpec(f"component at {cu} has wrong endpoints")
-            comps[cu] = m
+                raise InvalidSpec(
+                    f"component at {src.site.name(u)} has wrong endpoints"
+                )
+            comps[u] = m
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "components", comps)
+        # in site.objects() (name) order: hom_presheaves sorts by this key
         object.__setattr__(
             self,
             "_key",
-            tuple(
-                (cu, tuple(sorted((x, m(x)) for x in m.dom)))
-                for cu, m in sorted(comps.items())
-            ),
+            tuple(tuple(sorted(m.assignment.items())) for m in comps.values()),
         )
         if check and not self.is_natural():
             raise InvalidSpec("components are not natural")
@@ -261,23 +268,16 @@ class PresheafMorphism:
         raise AttributeError("PresheafMorphism is immutable")
 
     def component(self, u) -> FinMap:
-        return self.components[self.src.site.name(u)]
+        return self.components[u]
 
     def is_natural(self) -> bool:
-        site = self.src.site
-        for u in site.objects():
-            for v in site.objects():
-                if not site.leq(v, u):
-                    continue
-                lhs = finset.compose(
-                    self.dst.restrict(v, u), self.component(u)
-                )
-                rhs = finset.compose(
-                    self.component(v), self.src.restrict(v, u)
-                )
-                if lhs != rhs:
-                    return False
-        return True
+        """Do the squares of the strict pairs commute? Identity squares do."""
+        comps = self.components
+        return all(
+            finset.compose(self.dst.restrict(v, u), comps[u])
+            == finset.compose(comps[v], self.src.restrict(v, u))
+            for v, u in self.src.site.pairs()
+        )
 
     def is_mono(self) -> bool:
         return all(m.is_injective() for m in self.components.values())
@@ -290,8 +290,8 @@ class PresheafMorphism:
         if self.dst != other.src:
             raise SiteMismatch("composition endpoints do not match")
         comps = {
-            cu: finset.compose(other.components[cu], m)
-            for cu, m in self.components.items()
+            u: finset.compose(other.components[u], m)
+            for u, m in self.components.items()
         }
         return PresheafMorphism(self.src, other.dst, comps, check=False)
 
@@ -311,7 +311,7 @@ class PresheafMorphism:
 
 
 def identity_morphism(p: Presheaf) -> PresheafMorphism:
-    comps = {p.site.name(u): finset.identity(p.value(u)) for u in p.objects()}
+    comps = {u: finset.identity(p.value(u)) for u in p.objects()}
     return PresheafMorphism(p, p, comps, check=False)
 
 
@@ -321,11 +321,10 @@ def hasse_edges(site: ThinCategory):
     edges = []
     for u in objs:
         for v in objs:
-            if site.name(v) == site.name(u) or not site.leq(v, u):
+            if v == u or not site.leq(v, u):
                 continue
             if any(
-                site.leq(v, w) and site.leq(w, u)
-                and site.name(w) not in (site.name(v), site.name(u))
+                site.leq(v, w) and site.leq(w, u) and w not in (v, u)
                 for w in objs
             ):
                 continue
@@ -397,7 +396,6 @@ def hom_presheaves(f: Presheaf, g: Presheaf) -> list:
     site = f.site
     order, _, ups = site_order(site)
     order = order[::-1]
-    names = [site.name(v) for v in order]
     slot = {v: k for k, v in enumerate(order)}
 
     def components(k, chosen):
@@ -418,7 +416,7 @@ def hom_presheaves(f: Presheaf, g: Presheaf) -> list:
             yield FinMap(f.value(v), g.value(v), dict(zip(f.value(v), combo)))
 
     results = [
-        PresheafMorphism(f, g, dict(zip(names, comps)), check=False)
+        PresheafMorphism(f, g, dict(zip(order, comps)), check=False)
         for comps in backtrack(len(order), components)
     ]
     results.sort(key=lambda m: m._key)
@@ -427,9 +425,8 @@ def hom_presheaves(f: Presheaf, g: Presheaf) -> list:
 
 def iso_presheaves(f: Presheaf, g: Presheaf):
     """An isomorphism f -> g if one exists, else None."""
-    sizes_f = sorted((cu, len(v)) for cu, v in f._at.items())
-    sizes_g = sorted((cu, len(v)) for cu, v in g._at.items())
-    if sizes_f != sizes_g:
+    sizes_f = {u: len(v) for u, v in f._at.items()}
+    if sizes_f != {u: len(v) for u, v in g._at.items()}:
         return None
     for m in hom_presheaves(f, g):
         if m.is_iso():
@@ -452,26 +449,12 @@ def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
     site = f.site
     _require_thin(site)
     objs = site.objects()
-
-    def tags_at(u):
-        out = []
-        for v in objs:
-            for w in objs:
-                if not site.leq(u, site.tensor_obj(v, w)):
-                    continue
-                for x in f.value(v):
-                    for y in g.value(w):
-                        out.append((v, w, x, y))
-        return out
-
     classes = {}
     uf_by_obj = {}
     for u in objs:
-        tags = tags_at(u)
-        labels = [_day_tag(site.name(v), site.name(w), x, y) for v, w, x, y in tags]
-        uf = UnionFind(labels)
-        for v, w, x, y in tags:
-            lab = _day_tag(site.name(v), site.name(w), x, y)
+        tags = _day_parts(f, g, u)
+        uf = UnionFind(tags)
+        for lab, (v, w, x, y) in tags.items():
             for v2 in objs:
                 if not site.leq(v2, v):
                     continue
@@ -483,15 +466,12 @@ def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
                     x2 = f.restrict(v2, v)(x)
                     y2 = g.restrict(w2, w)(y)
                     uf.union(lab, _day_tag(site.name(v2), site.name(w2), x2, y2))
-        uf_by_obj[site.name(u)] = uf
-        classes[site.name(u)] = sorted(
-            {uf.find(lab) for lab in labels}, key=label_key
-        )
-
-    res = {}
-    for v, u in site.pairs():
-        cv, cu = site.name(v), site.name(u)
-        res[(cv, cu)] = {rep: uf_by_obj[cv].find(rep) for rep in classes[cu]}
+        uf_by_obj[u] = uf
+        classes[u] = sorted({uf.find(lab) for lab in tags}, key=label_key)
+    res = {
+        (v, u): {rep: uf_by_obj[v].find(rep) for rep in classes[u]}
+        for v, u in site.pairs()
+    }
     return Presheaf(site, classes, res)
 
 
@@ -522,7 +502,7 @@ def _day_projection(f: Presheaf, g: Presheaf, conv, side: int):
     comps = {}
     for u in site.objects():
         parts = _day_parts(f, g, u)
-        comps[site.name(u)] = {
+        comps[u] = {
             rep: factor.restrict(u, parts[rep][side])(parts[rep][2 + side])
             for rep in conv.value(u)
         }
@@ -562,7 +542,6 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
     target = cover.target
     at, res, uf_by_obj = {}, {}, {}
     for w in site.objects():
-        cw = site.name(w)
         pieces = [
             FinSetObj(["*"] if site.leq(w, leg.dom) else []) for leg in legs
         ]
@@ -579,12 +558,11 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
             pairs, total, {f"{i},{j}": finset.tag_label(j, "*") for i, j in pair_tags}
         )
         quotient, q = finset.coequalizer(first, second)
-        at[cw] = quotient
-        uf_by_obj[cw] = q
+        at[w] = quotient
+        uf_by_obj[w] = q
     for v, u in site.pairs():
-        cv, cu = site.name(v), site.name(u)
-        res[(cv, cu)] = {rep: uf_by_obj[cv](rep) for rep in at[cu]}
+        res[(v, u)] = {rep: uf_by_obj[v](rep) for rep in at[u]}
     s = Presheaf(site, at, res)
-    comps = {cw: {rep: "*" for rep in reps} for cw, reps in at.items()}
+    comps = {w: {rep: "*" for rep in reps} for w, reps in at.items()}
     canonical = PresheafMorphism(s, yoneda(site, target), comps)
     return Sieve(cover, s, canonical)

@@ -91,7 +91,6 @@ def _forcing_step(f: Presheaf, exist, unify):
     site = f.site
     tags_at, dsu_at, label_at = {}, {}, {}
     for u in site.objects():
-        cu = site.name(u)
         tags = [("o", x) for x in f.value(u)]
         for k, (target, _, _) in enumerate(exist):
             if site.leq(u, target):
@@ -126,33 +125,31 @@ def _forcing_step(f: Presheaf, exist, unify):
                 fresh_roots.append(root)
         for root, lab in zip(fresh_roots, _fresh_labels(len(fresh_roots), used)):
             labels[root] = lab
-        tags_at[cu], dsu_at[cu], label_at[cu] = (tags, index), dsu, labels
+        tags_at[u], dsu_at[u], label_at[u] = (tags, index), dsu, labels
 
-    def label_of(cu, tag):
-        tags, index = tags_at[cu]
-        return label_at[cu][dsu_at[cu].find(index[tag])]
+    def label_of(u, tag):
+        tags, index = tags_at[u]
+        return label_at[u][dsu_at[u].find(index[tag])]
 
-    at = {cu: set(labels.values()) for cu, labels in label_at.items()}
+    at = {u: set(labels.values()) for u, labels in label_at.items()}
     res = {}
     for v, u in site.pairs():
-        cv, cu = site.name(v), site.name(u)
-        table = res[(cv, cu)] = {}
-        for tag in tags_at[cu][0]:
+        table = res[(v, u)] = {}
+        for tag in tags_at[u][0]:
             if tag[0] == "o":
                 down = ("o", f.restrict(v, u)(tag[1]))
             else:
                 down = tag
-            src, dst = label_of(cu, tag), label_of(cv, down)
+            src, dst = label_of(u, tag), label_of(v, down)
             if table.get(src, dst) != dst:
                 raise InternalDefect(
                     "internal defect: forcing step restriction is "
-                    f"ill-defined at {cv} <= {cu}"
+                    f"ill-defined at {site.name(v)} <= {site.name(u)}"
                 )
             table[src] = dst
     nxt = Presheaf(site, at, res)
     comps = {
-        site.name(u): {x: label_of(site.name(u), ("o", x)) for x in f.value(u)}
-        for u in site.objects()
+        u: {x: label_of(u, ("o", x)) for x in f.value(u)} for u in site.objects()
     }
     return nxt, PresheafMorphism(f, nxt, comps)
 
@@ -185,20 +182,13 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
         raise SiteMismatch("coverage lives on a different site")
     labels = [f"v{i}" for i in range(max_size)]
     order, children, _ = site_order(site)
-    covers_by_target = {
-        u: [c for c in coverage.all_families() if site.name(c.target) == site.name(u)]
-        for u in order
-    }
     at, res = {}, {}
 
-    def rst(w, u):
-        return res[(site.name(w), site.name(u))]
-
     def sheaf_ok_at(u):
-        for cover in covers_by_target[u]:
-            maps = [rst(leg.dom, u) for leg in cover.legs]
+        for cover in coverage.families(u):
+            maps = [res[(leg.dom, u)] for leg in cover.legs]
             buckets = {}
-            for z in at[site.name(u)]:
+            for z in at[u]:
                 buckets.setdefault(tuple(m(z) for m in maps), []).append(z)
             if any(len(zs) > 1 for zs in buckets.values()):
                 return False
@@ -206,12 +196,12 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
 
             def agree(i, k, xi, xk):
                 t = site.overlap(legs[i], legs[k])
-                return rst(t, legs[i].dom)(xi) == rst(t, legs[k].dom)(xk)
+                return res[(t, legs[i].dom)](xi) == res[(t, legs[k].dom)](xk)
 
             def sections(k, chosen):
                 return [
                     x
-                    for x in at[site.name(legs[k].dom)]
+                    for x in at[legs[k].dom]
                     if all(agree(i, k, xi, x) for i, xi in enumerate(chosen))
                 ]
 
@@ -227,40 +217,39 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
         ``res``, and removed again before the next one.
         """
         u = order[k]
-        cu = site.name(u)
         strict_below = [w for w in order[:k] if site.leq(w, u)]
         kids = children[u]
         for size in range(max_size + 1):
-            at[cu] = FinSetObj(labels[:size])
-            res[(cu, cu)] = finset.identity(at[cu])
+            at[u] = FinSetObj(labels[:size])
+            res[(u, u)] = finset.identity(at[u])
             options = [
                 [
-                    FinMap(at[cu], at[site.name(v)], dict(zip(at[cu], targets)))
-                    for targets in itertools.product(at[site.name(v)], repeat=size)
+                    FinMap(at[u], at[v], dict(zip(at[u], targets)))
+                    for targets in itertools.product(at[v], repeat=size)
                 ]
                 for v in kids
             ]
             for combo in itertools.product(*options):
                 for v, m in zip(kids, combo):
-                    res[(site.name(v), cu)] = m
+                    res[(v, u)] = m
                 consistent = True
                 for w in strict_below:
-                    if (site.name(w), cu) in res:
+                    if (w, u) in res:
                         continue
                     derived = {
-                        finset.compose(rst(w, v), m)
+                        finset.compose(res[(w, v)], m)
                         for v, m in zip(kids, combo)
                         if site.leq(w, v)
                     }
                     if len(derived) > 1:
                         consistent = False
                         break
-                    res[(site.name(w), cu)] = derived.pop()
+                    res[(w, u)] = derived.pop()
                 if consistent and sheaf_ok_at(u):
                     yield combo
                 for w in strict_below:
-                    res.pop((site.name(w), cu), None)
-            del at[cu], res[(cu, cu)]
+                    res.pop((w, u), None)
+            del at[u], res[(u, u)]
 
     results = [
         Presheaf(site, dict(at), dict(res))
@@ -394,16 +383,12 @@ class SubobjectLattice:
 
     def meet(self, i: int, j: int) -> int:
         a, b = self.members[i], self.members[j]
-        site = self.ambient.site
         want = {
-            site.name(u): set(a.value(u).elements) & set(b.value(u).elements)
+            u: set(a.value(u).elements) & set(b.value(u).elements)
             for u in self.ambient.objects()
         }
         for k, m in enumerate(self.members):
-            if all(
-                set(m.value(u).elements) == want[site.name(u)]
-                for u in self.ambient.objects()
-            ):
+            if all(set(m.value(u).elements) == want[u] for u in want):
                 return k
         raise InternalDefect(
             "internal defect: subsheaves are not closed under intersection"
@@ -452,11 +437,11 @@ def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
 
     out = []
     for choice in backtrack(len(order), subsets):
-        at = {site.name(u): xs for u, xs in zip(order, choice)}
+        at = dict(zip(order, choice))
         res = {}
         for v, u in site.pairs():
             m = f.restrict(v, u)
-            res[(site.name(v), site.name(u))] = {x: m(x) for x in at[site.name(u)]}
+            res[(v, u)] = {x: m(x) for x in at[u]}
         out.append(Presheaf(site, at, res))
     return out
 
@@ -472,10 +457,9 @@ def subsheaf_lattice(f: Presheaf, coverage: Coverage,
         if check_sheaf_equalizer(p, coverage).ok
     ]
     members.sort(key=lambda p: (p.total_size(), repr(p.to_raw())))
-    site = f.site
     inclusions = []
     for p in members:
-        comps = {site.name(u): {x: x for x in p.value(u)} for u in f.objects()}
+        comps = {u: {x: x for x in p.value(u)} for u in f.objects()}
         inclusions.append(PresheafMorphism(p, f, comps, check=False))
     return SubobjectLattice(f, coverage, members, inclusions)
 
@@ -496,19 +480,15 @@ def extremal_factorize(
 ) -> ExtremalFactorization:
     """Corestrict onto the least subsheaf containing the image."""
     f = m.dst
-    site = f.site
     if lattice is None:
         lattice = subsheaf_lattice(f, coverage)
     image = {
-        site.name(u): {m.component(u)(x) for x in m.src.value(u)}
-        for u in f.objects()
+        u: {m.component(u)(x) for x in m.src.value(u)} for u in f.objects()
     }
     candidates = [
         i
         for i, s in enumerate(lattice.members)
-        if all(
-            image[site.name(u)] <= set(s.value(u).elements) for u in f.objects()
-        )
+        if all(image[u] <= set(s.value(u).elements) for u in image)
     ]
     if not candidates:
         raise InternalDefect(
@@ -518,7 +498,7 @@ def extremal_factorize(
     for i in candidates[1:]:
         least = lattice.meet(least, i)
     target = lattice.members[least]
-    comps = {cu: c.assignment for cu, c in m.components.items()}
+    comps = {u: c.assignment for u, c in m.components.items()}
     epi = PresheafMorphism(m.src, target, comps)
     mono = lattice.inclusions[least]
     if battery is None:
@@ -579,25 +559,19 @@ def star(
     site = f.site
     r = result.sheaf
     at = {
-        site.name(u): [
-            e for e in r.value(u) if phi1.component(u)(e) == phi2.component(u)(e)
-        ]
+        u: [e for e in r.value(u) if phi1.component(u)(e) == phi2.component(u)(e)]
         for u in site.objects()
     }
     res = {}
     for v, u in site.pairs():
-        cv, cu = site.name(v), site.name(u)
         m = r.restrict(v, u)
-        if any(m(e) not in at[cv] for e in at[cu]):
+        if any(m(e) not in at[v] for e in at[u]):
             raise InternalDefect(
                 "internal defect: equalizer is not restriction-closed"
             )
-        res[(cv, cu)] = {e: m(e) for e in at[cu]}
+        res[(v, u)] = {e: m(e) for e in at[u]}
     eq = Presheaf(site, at, res)
-    comps = {
-        site.name(u): {e: phi1.component(u)(e) for e in at[site.name(u)]}
-        for u in site.objects()
-    }
+    comps = {u: {e: phi1.component(u)(e) for e in es} for u, es in at.items()}
     into_f = PresheafMorphism(eq, f, comps)
     return extremal_factorize(into_f, coverage, lattice, battery)
 
@@ -708,7 +682,7 @@ def pointwise_pullback(phi1: PresheafMorphism, phi2: PresheafMorphism):
     left, right = phi1.src, phi2.src
     site = left.site
     sections = {
-        site.name(u): [
+        u: [
             (x, y)
             for x in left.value(u)
             for y in right.value(u)
@@ -717,21 +691,20 @@ def pointwise_pullback(phi1: PresheafMorphism, phi2: PresheafMorphism):
         for u in site.objects()
     }
     at = {
-        cu: [finset.pair_label(x, y) for x, y in xys]
-        for cu, xys in sections.items()
+        u: [finset.pair_label(x, y) for x, y in xys] for u, xys in sections.items()
     }
     res = {}
     for v, u in site.pairs():
         lr, rr = left.restrict(v, u), right.restrict(v, u)
-        res[(site.name(v), site.name(u))] = {
+        res[(v, u)] = {
             finset.pair_label(x, y): finset.pair_label(lr(x), rr(y))
-            for x, y in sections[site.name(u)]
+            for x, y in sections[u]
         }
     apex = Presheaf(site, at, res)
     proj1, proj2 = (
         PresheafMorphism(apex, factor, {
-            cu: {finset.pair_label(*xy): xy[side] for xy in xys}
-            for cu, xys in sections.items()
+            u: {finset.pair_label(*xy): xy[side] for xy in xys}
+            for u, xys in sections.items()
         })
         for side, factor in enumerate((left, right))
     )

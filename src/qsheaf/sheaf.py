@@ -242,15 +242,14 @@ def check_sheaf_orthogonal(f: Presheaf, coverage: Coverage) -> SheafReport:
         raise SiteMismatch("presheaf and coverage live on different sites")
     site = f.site
     report = SheafReport("orthogonal", VERDICT_SHEAF)
-    y_cache, hom_y_cache = {}, {}
+    hom_y_cache = {}
     for cover in coverage.all_families():
-        cu = site.name(cover.target)
-        if cu not in y_cache:
-            y_cache[cu] = yoneda(site, cover.target)
-            hom_y_cache[cu] = hom_presheaves(y_cache[cu], f)
+        u = cover.target
+        if u not in hom_y_cache:
+            hom_y_cache[u] = hom_presheaves(yoneda(site, u), f)
         sv = sieve_of(site, cover)
         homs_sieve = hom_presheaves(sv.presheaf, f)
-        precomposed = [sv.canonical.then(m) for m in hom_y_cache[cu]]
+        precomposed = [sv.canonical.then(m) for m in hom_y_cache[u]]
         unglued = len(set(homs_sieve) - set(precomposed))
         ambiguous = len(precomposed) - len(set(precomposed))
         outcome = CoverOutcome(cover, len(homs_sieve), unglued, ambiguous)
@@ -297,11 +296,9 @@ def check_sheaf(f: Presheaf, coverage: Coverage, method: str = "both"):
 def shift_presheaf(f: Presheaf, u) -> Presheaf:
     """The presheaf v -> f(u * v); shifts of sheaves stay sheaves."""
     site = f.site
-    at = {site.name(v): f.value(site.tensor_obj(u, v)) for v in site.objects()}
+    at = {v: f.value(site.tensor_obj(u, v)) for v in site.objects()}
     res = {
-        (site.name(v2), site.name(v)): f.restrict(
-            site.tensor_obj(u, v2), site.tensor_obj(u, v)
-        )
+        (v2, v): f.restrict(site.tensor_obj(u, v2), site.tensor_obj(u, v))
         for v2, v in site.pairs()
     }
     return Presheaf(site, at, res)
@@ -311,15 +308,13 @@ def product_sheaf(f: Presheaf, g: Presheaf) -> Presheaf:
     """The pointwise product presheaf on the product site."""
     site = ThinCategory.product(f.site, g.site)
     at = {
-        site.name((a, b)): [
-            finset.pair_label(x, y) for x in f.value(a) for y in g.value(b)
-        ]
+        (a, b): [finset.pair_label(x, y) for x in f.value(a) for y in g.value(b)]
         for a, b in site.objects()
     }
     res = {}
     for (a2, b2), (a, b) in site.pairs():
         fm, gm = f.restrict(a2, a), g.restrict(b2, b)
-        res[(site.name((a2, b2)), site.name((a, b)))] = {
+        res[(a2, b2), (a, b)] = {
             finset.pair_label(x, y): finset.pair_label(fm(x), gm(y))
             for x in f.value(a)
             for y in g.value(b)
@@ -332,23 +327,22 @@ def product_sheaf(f: Presheaf, g: Presheaf) -> Presheaf:
 
 
 def _down_set_supports(site, quantale, u):
-    """Down-closed subsets of the principal down-set of u joining to u."""
+    """Down-closed subsets of the principal down-set of u joining to u.
+
+    Each support is a tuple of objects in name order. On a locale every
+    object is its own name, which the join of the quantale works on.
+    """
     below = [w for w in site.objects() if site.leq(w, u)]
-    below.sort(key=site.name)
     supports = []
     for mask in itertools.product([False, True], repeat=len(below)):
-        chosen = [w for w, keep in zip(below, mask) if keep]
-        names = {site.name(w) for w in chosen}
+        chosen = tuple(w for w, keep in zip(below, mask) if keep)
         if any(
-            site.name(v) not in names
-            for w in chosen
-            for v in site.objects()
-            if site.leq(v, w)
+            v not in chosen for w in chosen for v in below if site.leq(v, w)
         ):
             continue
-        if quantale.join(sorted(names)) != site.name(u):
+        if quantale.join(chosen) != u:
             continue
-        supports.append(tuple(sorted(names)))
+        supports.append(chosen)
     return supports
 
 
@@ -357,9 +351,10 @@ def _matching_families(f: Presheaf, order, support):
 
     The members are visited top-down along the site order ``order``, so
     a member with anything of the support above it has its section forced.
+    Each family lists its ``(member, section)`` pairs in support order.
     """
     site = f.site
-    members = [w for w in reversed(order) if site.name(w) in support]
+    members = [w for w in reversed(order) if w in support]
 
     def sections(k, chosen):
         w = members[k]
@@ -372,9 +367,9 @@ def _matching_families(f: Presheaf, order, support):
             return []
         return list(forced) or f.value(w).elements
 
-    names = [site.name(w) for w in members]
+    slots = [members.index(w) for w in support]
     return [
-        tuple(sorted(zip(names, fam)))
+        tuple((w, fam[k]) for w, k in zip(support, slots))
         for fam in backtrack(len(members), sections)
     ]
 
@@ -398,7 +393,6 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
             "canonical coverage"
         )
     quantale = coverage.quantale
-    objs = {site.name(w): w for w in site.objects()}
     order = site_order(site)[0]
 
     germs_at = {}
@@ -408,17 +402,16 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
             for fam in _matching_families(f, order, support):
                 germs.append((support, fam))
         germs.sort()
-        germs_at[site.name(u)] = germs
+        germs_at[u] = germs
 
     def agree(g1, g2):
         s1, s2 = set(g1[0]), set(g2[0])
         d1, d2 = dict(g1[1]), dict(g2[1])
-        return all(d1[name] == d2[name] for name in s1 & s2)
+        return all(d1[w] == d2[w] for w in s1 & s2)
 
     uf_at, labels_at = {}, {}
     for u in site.objects():
-        cu = site.name(u)
-        germs = germs_at[cu]
+        germs = germs_at[u]
         keys = [repr(g) for g in germs]
         uf = UnionFind(keys)
         for i in range(len(germs)):
@@ -428,49 +421,38 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
                 ):
                     uf.union(keys[i], keys[j])
         reps = sorted({uf.find(k) for k in keys}, key=label_key)
-        labels_at[cu] = {rep: f"c{idx}" for idx, rep in enumerate(reps)}
-        uf_at[cu] = uf
+        labels_at[u] = {rep: f"c{idx}" for idx, rep in enumerate(reps)}
+        uf_at[u] = uf
 
     def restrict_germ(germ, v):
-        support, fam = germ
-        d = dict(fam)
-        sub = []
-        for name in support:
-            if site.leq(objs[name], v):
-                sub.append((name, d[name]))
-        return (tuple(name for name, _ in sub), tuple(sub))
+        sub = tuple((w, x) for w, x in germ[1] if site.leq(w, v))
+        return (tuple(w for w, _ in sub), sub)
 
-    def class_of(germ, cv):
-        return labels_at[cv][uf_at[cv].find(repr(germ))]
+    def class_of(germ, v):
+        return labels_at[v][uf_at[v].find(repr(germ))]
 
-    at = {cu: list(labels.values()) for cu, labels in labels_at.items()}
+    at = {u: list(labels.values()) for u, labels in labels_at.items()}
     res = {}
     for v, u in site.pairs():
-        cv, cu = site.name(v), site.name(u)
-        table = res[(cv, cu)] = {}
-        for germ in germs_at[cu]:
-            src = class_of(germ, cu)
-            dst = class_of(restrict_germ(germ, v), cv)
+        table = res[(v, u)] = {}
+        for germ in germs_at[u]:
+            src = class_of(germ, u)
+            dst = class_of(restrict_germ(germ, v), v)
             if table.get(src, dst) != dst:
                 raise InternalDefect(
                     "internal defect: densification restriction is "
-                    f"ill-defined at {cv} <= {cu}"
+                    f"ill-defined at {site.name(v)} <= {site.name(u)}"
                 )
             table[src] = dst
     plus = Presheaf(site, at, res)
 
     comps = {}
     for u in site.objects():
-        cu = site.name(u)
-        below = tuple(
-            sorted(site.name(w) for w in site.objects() if site.leq(w, u))
-        )
-        table = comps[cu] = {}
-        for x in f.value(u):
-            fam = tuple(
-                sorted((name, f.restrict(objs[name], u)(x)) for name in below)
-            )
-            table[x] = class_of((below, fam), cu)
+        below = tuple(w for w in site.objects() if site.leq(w, u))
+        comps[u] = {
+            x: class_of((below, tuple((w, f.restrict(w, u)(x)) for w in below)), u)
+            for x in f.value(u)
+        }
     unit = PresheafMorphism(f, plus, comps)
     return plus, unit
 

@@ -1,8 +1,11 @@
 """Presheaves on thin sites: parsing, morphisms, convolution, sieves."""
 
+import json
+
 import pytest
 
 from qsheaf import finset
+from qsheaf.cli import corpus_dir
 from qsheaf.coverage import CoverFamily
 from qsheaf.errors import (
     InvalidSpec,
@@ -46,6 +49,19 @@ def powerset2_site():
     return q, ThinCategory.from_quantale(q)
 
 
+def corpus(name):
+    return json.loads((corpus_dir() / name).read_text())
+
+
+def product_site():
+    """The chain2 x luk3 corpus site, whose objects are pairs like ("0", "h")."""
+    raw = corpus("site_product_chain2_luk3.json")["product"]
+    return ThinCategory.product(
+        *(ThinCategory.from_quantale(validate_quantale(raw[side]))
+          for side in ("left", "right"))
+    )
+
+
 def sep_presheaf(site):
     """Two sections at the middle collapsing below, nothing on top."""
     return parse_presheaf(site, {
@@ -65,6 +81,15 @@ class TestPresheafStructure:
         assert parse_presheaf(site, p.to_raw()) == p
         assert p.total_size() == 3
         assert list(p.value("h")) == ["p", "q"]
+
+        # product objects are pairs; "(a,b)" names live only in the file
+        site = product_site()
+        raw = corpus("presheaf_product_doubled_bottom.json")
+        p = parse_presheaf(site, raw)
+        assert parse_presheaf(site, p.to_raw()) == p
+        assert list(p.value(("0", "h"))) == raw["at"]["(0,h)"]
+        with pytest.raises(InvalidSpec):
+            Presheaf(site, raw["at"], {})
 
     def test_identity_restriction_is_automatic(self):
         _, site = luk3_site()
