@@ -3,9 +3,9 @@
 Objects are finite sets of string or integer labels, kept in a
 canonical sorted order. Maps are total assignments. Each construction
 (equalizer, coequalizer, binary product, pullback, finite coproduct)
-returns the constructed object together with its structure maps; the
-universal properties are audited exhaustively in the test suite via
-`all_maps`.
+returns the constructed object together with its structure maps
+(`product_object` gives the product set alone); the universal
+properties are audited exhaustively in the test suite via `all_maps`.
 
 Constructed labels are strings: pairs become "(a,b)", tagged copies
 become "i:a", quotient classes are named after their least member.
@@ -211,18 +211,19 @@ def coequalizer(f: FinMap, g: FinMap):
     return quo, FinMap(f.cod, quo, reps)
 
 
-def product(a: FinSetObj, b: FinSetObj):
-    """Binary product with canonical pair labels: (object, proj1, proj2)."""
-    labels, p1, p2 = [], {}, {}
-    for x in a:
-        for y in b:
-            lab = pair_label(x, y)
-            labels.append(lab)
-            p1[lab] = x
-            p2[lab] = y
+def product_object(a: FinSetObj, b: FinSetObj) -> FinSetObj:
+    """The set of pair labels "(x,y)" for x in a, y in b, without projections."""
+    labels = [pair_label(x, y) for x in a for y in b]
     if len(set(labels)) != len(labels):
         raise InvalidSpec("pair labels collide; use simpler element labels")
-    obj = FinSetObj(labels)
+    return FinSetObj(labels)
+
+
+def product(a: FinSetObj, b: FinSetObj):
+    """Binary product with canonical pair labels: (object, proj1, proj2)."""
+    obj = product_object(a, b)
+    p1 = {pair_label(x, y): x for x in a for y in b}
+    p2 = {pair_label(x, y): y for x in a for y in b}
     return obj, FinMap(obj, a, p1), FinMap(obj, b, p2)
 
 

@@ -321,29 +321,30 @@ def _gen_ppb_equalizing(c, objs, also_compare):
                 pi1_small = projection1(c, a, b)
                 pi2_small = projection2(c, a, b)
                 for cod in objs:
+                    tag = (
+                        f"X={canon(x)}, f:{canon(a)}->{canon(cod)}, "
+                        f"g:{canon(b)}->{canon(cod)}"
+                    )
+                    homs_g = c.hom(b, cod)
                     for f in c.hom(a, cod):
                         xf = c.tensor_mor(id_x, f)
                         big_left = c.compose(xf, pi1_big)
                         f_small = c.compose(f, pi1_small)
-                        for g in c.hom(b, cod):
-                            tag = (
-                                f"X={canon(x)}, f:{canon(a)}->{canon(cod)}, "
-                                f"g:{canon(b)}->{canon(cod)}"
-                            )
+                        x_f_small = c.tensor_mor(id_x, f_small)
+                        for g in homs_g:
                             xg = c.tensor_mor(id_x, g)
                             _, e_big = c.equalizer(
                                 big_left, c.compose(xg, pi2_big)
                             )
                             m = c.compose(mid, e_big)
-                            lhs = c.compose(c.tensor_mor(id_x, f_small), m)
-                            rhs = c.compose(
-                                c.tensor_mor(id_x, c.compose(g, pi2_small)), m
-                            )
+                            lhs = c.compose(x_f_small, m)
+                            g_small = c.compose(g, pi2_small)
+                            rhs = c.compose(c.tensor_mor(id_x, g_small), m)
                             if lhs != rhs:
                                 yield False, f"{tag}: {_first_diff(lhs, rhs)}"
                                 continue
                             if also_compare:
-                                _, e_base = c.equalizer(f_small, c.compose(g, pi2_small))
+                                _, e_base = c.equalizer(f_small, g_small)
                                 xe = c.tensor_mor(id_x, e_base)
                                 u = c.factor_through_mono(xe, m)
                                 if u is None:

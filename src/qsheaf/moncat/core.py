@@ -383,8 +383,10 @@ class FinSetCategory(MonoidalCategory):
     """Finite sets and all maps, tensor = cartesian product.
 
     Generator objects are the canonical sets of sizes 0..max_size; the
-    operations are total on arbitrary FinSetObj. Structure morphisms are
-    taken from the constructor so broken ones can be injected.
+    operations are total on arbitrary FinSetObj. Each tensor object
+    `a (x) b` is built once per instance and then reused. Structure
+    morphisms are taken from the constructor so broken ones can be
+    injected.
     """
 
     is_cartesian = True
@@ -402,6 +404,7 @@ class FinSetCategory(MonoidalCategory):
         self._left_unitor_fn = left_unitor_fn
         self._right_unitor_fn = right_unitor_fn
         self._equalizer_fn = equalizer_fn
+        self._tensors = {}  # (a, b) -> a (x) b, built at first use
 
     def objects(self):
         return list(self._objects)
@@ -417,7 +420,10 @@ class FinSetCategory(MonoidalCategory):
         return Mor(f.dom, g.cod, finset.compose(g.data, f.data))
 
     def tensor_obj(self, a, b):
-        obj, _, _ = finset.product(a, b)
+        key = (a, b)
+        obj = self._tensors.get(key)
+        if obj is None:
+            obj = self._tensors[key] = finset.product_object(a, b)
         return obj
 
     def tensor_mor(self, f, g):

@@ -166,6 +166,18 @@ CASES = [
         0,
     ),
     Case(
+        "verify_appendix_finset",
+        {},
+        ["verify-appendix", "--instance", "finset"],
+        0,
+    ),
+    Case(
+        "verify_appendix_product",
+        {},
+        ["verify-appendix", "--instance", "product", "--size-bound", "1"],
+        0,
+    ),
+    Case(
         "lopos_m3",
         {"q.json": m3_with_meet()},
         ["lopos-check", "q.json"],

@@ -173,6 +173,115 @@ class TestMutationsDetected:
         assert len(report.failures()) == 1
 
 
+# Every failing entry of the appendix suite on FinSetCategory(max_size=2)
+# at size bound 2, per injected structure map. The hoisted loop
+# invariants in the pseudo-pullback generators must leave each failure at
+# the same instance with the same witness.
+RECORDED_FAILURES = [
+    (
+        "associator_fn",
+        broken_associator,
+        [
+            ("pentagon", 44,
+             "pentagon({s0},{s0},{s0,s1},{s0}): at (((s0,s0),s0),s0): (s0,(s0,(s1,s0))) vs (s0,(s0,(s0,s0)))"),
+            ("ppb-equalizing", 81,
+             "X={s0}, f:{s0}->{s0,s1}, g:{s0,s1}->{s0,s1}: at ((s0,s0),(s0,s0)): (s0,s0) vs (s0,s1)"),
+            ("ppb-tensor-compare", 81,
+             "X={s0}, f:{s0}->{s0,s1}, g:{s0,s1}->{s0,s1}: at ((s0,s0),(s0,s0)): (s0,s0) vs (s0,s1)"),
+            ("proj-assoc-left", 17,
+             "({s0},{s0,s1},{s0}): at ((s0,s0),s0): (s0,s1) vs (s0,s0)"),
+            ("proj-assoc-right", 15,
+             "({s0},{s0},{s0,s1}): at ((s0,s0),s0): (s0,s1) vs (s0,s0)"),
+            ("proj-middle-deletion", 15,
+             "({s0},{s0},{s0,s1}): at ((s0,s0),s0): (s0,s1) vs (s0,s0)"),
+            ("proj-tensor-factor-1", 17,
+             "({s0},{s0,s1},{s0}): at ((s0,s0),(s0,s0)): (s0,s0) vs (s0,s1)"),
+            ("triangle", 6,
+             "triangle({s0},{s0,s1}): at ((s0,*),s0): (s0,s1) vs (s0,s0)"),
+            ("unitor-associator-left", 6,
+             "unitor-left({s0},{s0,s1}): at ((*,s0),s0): (s0,s1) vs (s0,s0)"),
+            ("unitor-associator-right", 6,
+             "unitor-right({s0},{s0,s1}): at ((s0,s0),*): (s0,s1) vs (s0,s0)"),
+        ],
+    ),
+    (
+        "braiding_fn",
+        broken_braiding,
+        [
+            ("braid-projections-1", 8,
+             "({s0,s1},{s0}): at (s0,s0): s1 vs s0"),
+            ("braid-projections-2", 6,
+             "({s0},{s0,s1}): at (s0,s0): s1 vs s0"),
+            ("braid-unitors", 5,
+             "l.b_(a,1) at {s0,s1}: at (s0,*): s1 vs s0"),
+        ],
+    ),
+    (
+        "equalizer_fn",
+        trivial_equalizer,
+        [
+            ("ppb-equalizing", 76,
+             "X={s0}, f:{s0}->{s0,s1}, g:{s0}->{s0,s1}: at ((s0,s0),(s0,s0)): (s0,s0) vs (s0,s1)"),
+            ("ppb-tensor-compare", 76,
+             "X={s0}, f:{s0}->{s0,s1}, g:{s0}->{s0,s1}: at ((s0,s0),(s0,s0)): (s0,s0) vs (s0,s1)"),
+        ],
+    ),
+    (
+        "left_unitor_fn",
+        collapsing_left_unitor,
+        [
+            ("braid-projections-1", 8,
+             "({s0,s1},{s0}): at (s1,s0): s0 vs s1"),
+            ("braid-projections-2", 6,
+             "({s0},{s0,s1}): at (s0,s1): s1 vs s0"),
+            ("braid-unitors", 5,
+             "l.b_(a,1) at {s0,s1}: at (s1,*): s0 vs s1"),
+            ("proj-assoc-right", 15,
+             "({s0},{s0},{s0,s1}): at ((s0,s0),s1): (s0,s0) vs (s0,s1)"),
+            ("proj-middle-deletion", 15,
+             "({s0},{s0},{s0,s1}): at ((s0,s0),s1): (s0,s0) vs (s0,s1)"),
+            ("triangle", 6,
+             "triangle({s0},{s0,s1}): at ((s0,*),s1): (s0,s0) vs (s0,s1)"),
+            ("unitor-associator-left", 6,
+             "unitor-left({s0},{s0,s1}): at ((*,s0),s1): (s0,s0) vs (s0,s1)"),
+        ],
+    ),
+    (
+        "right_unitor_fn",
+        collapsing_right_unitor,
+        [
+            ("braid-projections-1", 8,
+             "({s0,s1},{s0}): at (s1,s0): s1 vs s0"),
+            ("braid-projections-2", 6,
+             "({s0},{s0,s1}): at (s0,s1): s0 vs s1"),
+            ("braid-unitors", 5,
+             "l.b_(a,1) at {s0,s1}: at (s1,*): s1 vs s0"),
+            ("proj-assoc-left", 23,
+             "({s0,s1},{s0},{s0}): at ((s1,s0),s0): (s1,s0) vs (s0,s0)"),
+            ("proj-middle-deletion", 23,
+             "({s0,s1},{s0},{s0}): at ((s1,s0),s0): (s1,s0) vs (s0,s0)"),
+            ("proj-tensor-factor-1", 23,
+             "({s0,s1},{s0},{s0}): at ((s1,s0),(s0,s0)): (s0,s0) vs (s1,s0)"),
+            ("triangle", 8,
+             "triangle({s0,s1},{s0}): at ((s1,*),s0): (s1,s0) vs (s0,s0)"),
+            ("unitor-associator-right", 8,
+             "unitor-right({s0,s1},{s0}): at ((s1,s0),*): (s1,s0) vs (s0,s0)"),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "keyword,broken,expected",
+    RECORDED_FAILURES,
+    ids=[keyword for keyword, _, _ in RECORDED_FAILURES],
+)
+def test_failures_land_at_recorded_witnesses(keyword, broken, expected):
+    c = FinSetCategory(max_size=2, **{keyword: broken})
+    report = verify_appendix_suite(c, size_bound=2)
+    assert [(e.name, e.checked, e.witness) for e in report.failures()] == expected
+
+
 @pytest.mark.parametrize(
     "name,n",
     [("lukasiewicz_chain", 3), ("truncated_nat", 3), ("powerset_locale", 2)],

@@ -242,6 +242,23 @@ class TestFinSet:
         assert p1.dom == empty
         assert len(c.hom(empty, c.unit)) == 1
 
+    def test_tensor_obj_is_the_product_built_once(self):
+        c = FinSetCategory(max_size=2)
+        gens = c.objects()
+        objs = gens + [c.tensor_obj(a, b) for a in gens for b in gens]
+        for a, b in itertools.product(objs, repeat=2):
+            t = c.tensor_obj(a, b)
+            assert t == finset.product(a, b)[0]
+            assert c.tensor_obj(a, b) is t
+
+    def test_colliding_pair_labels_rejected(self):
+        a = FinSetObj(["x,y", "x"])
+        b = FinSetObj(["z", "y,z"])  # "(x,y,z)" arises from two pairs
+        with pytest.raises(InvalidSpec, match="pair labels collide"):
+            finset.product(a, b)
+        with pytest.raises(InvalidSpec, match="pair labels collide"):
+            FinSetCategory().tensor_obj(a, b)
+
 
 # ---------------------------------------------------------------------------
 # componentwise products
