@@ -29,7 +29,6 @@ from .errors import (
 )
 from .moncat import (
     MonoidalCategory,
-    Mor,
     ThinCategory,
     canon,
     exists_l_r_factorizations,
@@ -38,12 +37,14 @@ from .moncat import (
 from .quantale import Quantale
 
 
-def _leg_key(leg: Mor):
-    return leg.key()
-
-
 class CoverFamily:
-    """An indexed family of morphisms into a common target."""
+    """An indexed family of morphisms into a common target.
+
+    The legs are checked against the target on construction. The sort
+    key, the target's name with the sorted leg keys, is built on first
+    use by `key`, `clamped_key`, equality or hashing: membership under
+    the join rule never reads it.
+    """
 
     __slots__ = ("target", "legs", "_key")
 
@@ -56,20 +57,22 @@ class CoverFamily:
                 )
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "legs", legs)
-        object.__setattr__(
-            self,
-            "_key",
-            (canon(target), tuple(sorted(_leg_key(m) for m in legs))),
-        )
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoverFamily is immutable")
 
     def key(self):
+        if self._key is None:
+            object.__setattr__(
+                self,
+                "_key",
+                (canon(self.target), tuple(sorted(m.key() for m in self.legs))),
+            )
         return self._key
 
     def clamped_key(self, cap):
-        name, legs = self._key
+        name, legs = self.key()
         kept, counts = [], {}
         for k in legs:
             counts[k] = counts.get(k, 0) + 1
@@ -81,10 +84,10 @@ class CoverFamily:
         return [leg.dom for leg in self.legs]
 
     def __eq__(self, other):
-        return isinstance(other, CoverFamily) and self._key == other._key
+        return isinstance(other, CoverFamily) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self._key)
+        return hash(self.key())
 
     def __len__(self):
         return len(self.legs)

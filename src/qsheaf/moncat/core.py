@@ -177,7 +177,13 @@ def is_semicartesian(c: MonoidalCategory) -> bool:
 
 
 class ThinCategory(MonoidalCategory):
-    """A poset with a monotone associative tensor; at most one arrow."""
+    """A poset with a monotone associative tensor; at most one arrow.
+
+    Each site keeps per-site tables, built once or at first use: object
+    names and order, the strictly comparable pairs, one `Mor` per
+    comparable pair (every arrow the site returns comes from this
+    table), and one `PseudoPullback` per ``(a.dom, b.dom, cod)``.
+    """
 
     is_thin = True
 
@@ -220,7 +226,8 @@ class ThinCategory(MonoidalCategory):
             if v != u and (v, u) in self._leq
         )
         self._order = None  # (order, downs, ups), built by presheaf.site_order
-        self._apexes = {}  # (a.dom, b.dom, cod) -> pseudo-pullback apex
+        self._arrows = {}  # (a, b) -> the one arrow a -> b, made at first use
+        self._pullbacks = {}  # (a.dom, b.dom, cod) -> PseudoPullback
 
     @classmethod
     def from_quantale(cls, q):
@@ -291,56 +298,65 @@ class ThinCategory(MonoidalCategory):
             return canon(u)
 
     def overlap(self, a: Mor, b: Mor):
-        """The pseudo-pullback apex of two legs into one object, kept per site."""
-        key = (a.dom, b.dom, a.cod)
-        if key not in self._apexes:
-            self._apexes[key] = pseudo_pullback(self, a, b).obj
-        return self._apexes[key]
+        """The pseudo-pullback apex of two legs into one object."""
+        ppb = self._pullbacks.get((a.dom, b.dom, a.cod))
+        if ppb is None:
+            ppb = pseudo_pullback(self, a, b)
+        return ppb.obj
+
+    def _mor(self, a, b) -> Mor:
+        """The site's one arrow a -> b from its arrow table."""
+        mor = self._arrows.get((a, b))
+        if mor is None:
+            mor = self._arrows[(a, b)] = Mor(a, b)
+        return mor
 
     def hom(self, a, b):
-        return [Mor(a, b)] if self.leq(a, b) else []
+        return [self._mor(a, b)] if self.leq(a, b) else []
 
     def arrow(self, a, b) -> Mor:
         if not self.leq(a, b):
             raise DomainMismatch(f"no arrow {canon(a)} -> {canon(b)}")
-        return Mor(a, b)
+        return self._mor(a, b)
 
     def identity(self, a):
-        return Mor(a, a)
+        return self._mor(a, a)
 
     def compose(self, g, f):
         self._check_composable(g, f)
-        return Mor(f.dom, g.cod)
+        return self._mor(f.dom, g.cod)
 
     def tensor_obj(self, a, b):
         return self._mul[(a, b)]
 
     def tensor_mor(self, f, g):
-        return Mor(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod))
+        return self._mor(
+            self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod)
+        )
 
     def associator(self, x, y, z):
         lhs = self.tensor_obj(self.tensor_obj(x, y), z)
         rhs = self.tensor_obj(x, self.tensor_obj(y, z))
         assert lhs == rhs
-        return Mor(lhs, rhs)
+        return self._mor(lhs, rhs)
 
     def left_unitor(self, a):
-        return Mor(self.tensor_obj(self.unit, a), a)
+        return self._mor(self.tensor_obj(self.unit, a), a)
 
     def right_unitor(self, a):
-        return Mor(self.tensor_obj(a, self.unit), a)
+        return self._mor(self.tensor_obj(a, self.unit), a)
 
     def braiding(self, a, b):
         if not self._commutative:
             return None
-        return Mor(self.tensor_obj(a, b), self.tensor_obj(b, a))
+        return self._mor(self.tensor_obj(a, b), self.tensor_obj(b, a))
 
     def terminal(self, x):
         if not self.leq(x, self.unit):
             raise NotSemicartesian(
                 f"unit is not terminal: no arrow from {canon(x)}"
             )
-        return Mor(x, self.unit)
+        return self._mor(x, self.unit)
 
     def equalizer(self, f, g):
         self._check_parallel(f, g)
@@ -353,7 +369,7 @@ class ThinCategory(MonoidalCategory):
         if h.cod != m.cod:
             raise CodomainMismatch("factorization needs a common codomain")
         if self.leq(h.dom, m.dom):
-            return Mor(h.dom, m.dom)
+            return self._mor(h.dom, m.dom)
         return None
 
     def __eq__(self, other):
@@ -659,9 +675,25 @@ class PseudoPullback:
 
 
 def pseudo_pullback(c: MonoidalCategory, f: Mor, g: Mor) -> PseudoPullback:
-    """Equalizer of f . proj1 and g . proj2 over dom(f) (x) dom(g)."""
+    """Equalizer of f . proj1 and g . proj2 over dom(f) (x) dom(g).
+
+    On a thin site the result depends only on ``(f.dom, g.dom, cod)``,
+    and the site keeps it in a table under that key, built at first
+    use. Other instances construct it on every call.
+    """
     if f.cod != g.cod:
         raise CodomainMismatch("pseudo-pullback needs a cospan")
+    if not isinstance(c, ThinCategory):
+        return _build_pseudo_pullback(c, f, g)
+    key = (f.dom, g.dom, f.cod)
+    ppb = c._pullbacks.get(key)
+    if ppb is None:
+        ppb = c._pullbacks[key] = _build_pseudo_pullback(c, f, g)
+    return ppb
+
+
+def _build_pseudo_pullback(c: MonoidalCategory, f: Mor, g: Mor) -> PseudoPullback:
+    """The pseudo-pullback of a cospan, constructed without any table."""
     t = c.tensor_obj(f.dom, g.dom)
     pi1 = projection1(c, f.dom, g.dom)
     pi2 = projection2(c, f.dom, g.dom)

@@ -110,6 +110,24 @@ CASES = [
         1,
     ),
     Case(
+        "check_prelopology_product_canonical",
+        {
+            "s.json": corpus("site_product_chain2_luk3.json"),
+            "c.json": corpus("coverage_canonical.json"),
+        },
+        ["check-prelopology", "s.json", "c.json", "--flavor", "strong_prelopology"],
+        0,
+    ),
+    Case(
+        "check_pretopology_powerset2_canonical",
+        {
+            "s.json": corpus("site_powerset2.json"),
+            "c.json": corpus("coverage_canonical.json"),
+        },
+        ["check-prelopology", "s.json", "c.json", "--flavor", "pretopology"],
+        0,
+    ),
+    Case(
         "check_sheaf_luk3_separated",
         {
             "s.json": corpus("site_luk3.json"),

@@ -3,8 +3,10 @@
 Each enumerator built on `presheaf.backtrack` is compared with a search
 over every candidate, filtered by the defining predicate, on the corpus
 sites and presheaves. The per-site tables the enumerators read (the site
-order, its Hasse lists and the overlap apexes) are checked the same way,
-and are shown to be built once per site and never handed out mutable.
+order, its Hasse lists, the arrows and the pseudo-pullbacks) are checked
+the same way, and are shown to be built once per site and never handed
+out mutable. Cover-family keys, built on demand, are checked against the
+formula they were once built by eagerly.
 """
 
 import functools
@@ -18,12 +20,16 @@ import qsheaf.presheaf
 import qsheaf.reflect
 from qsheaf.cli import corpus_dir, main
 from qsheaf.coverage import (
+    CoverFamily,
     canonical_quantale_coverage,
+    check_strong_prelopology,
     parse_coverage,
     product_coverage,
 )
 from qsheaf.finset import FinSetObj, all_maps
-from qsheaf.moncat import ThinCategory, canon, pseudo_pullback
+from qsheaf.errors import DomainMismatch, InvalidSpec
+from qsheaf.moncat import Mor, ThinCategory, canon, pseudo_pullback
+from qsheaf.moncat.core import _build_pseudo_pullback
 from qsheaf.presheaf import (
     Presheaf,
     PresheafMorphism,
@@ -323,11 +329,100 @@ def _corpus_coverages():
     )
 
 
+def _corpus_sites():
+    """Every site `_corpus_coverages` yields, once each."""
+    sites = {}
+    for site, _ in _corpus_coverages():
+        sites.setdefault(id(site), site)
+    return list(sites.values())
+
+
 def test_overlap_table_holds_the_pseudo_pullback_apexes():
+    """Each table entry equals a fresh construction, field by field."""
     pairs = 0
     for site, coverage in _corpus_coverages():
         for cover in coverage.all_families():
             for a, b in itertools.product(cover.legs, repeat=2):
-                assert site.overlap(a, b) == pseudo_pullback(site, a, b).obj
+                kept = pseudo_pullback(site, a, b)
+                fresh = _build_pseudo_pullback(site, a, b)
+                assert fresh is not kept
+                for name in ("obj", "into", "p1", "p2", "tensor"):
+                    assert getattr(kept, name) == getattr(fresh, name), name
+                assert pseudo_pullback(site, a, b) is kept
+                assert site.overlap(a, b) == fresh.obj
                 pairs += 1
     assert pairs
+
+
+def test_thin_site_hands_out_one_arrow_per_pair():
+    for site in _corpus_sites():
+        objs, unit = site.objects(), site.unit
+        id_unit = site.identity(unit)
+        for a, b in itertools.product(objs, repeat=2):
+            if not site.leq(a, b):
+                with pytest.raises(DomainMismatch):
+                    site.arrow(a, b)
+                assert site.hom(a, b) == []
+                continue
+            m = site.arrow(a, b)
+            assert m == Mor(a, b)
+            assert site.arrow(a, b) is m
+            assert site.hom(a, b)[0] is m
+            if a == b:
+                assert site.identity(a) is m
+            if b == unit:
+                assert site.terminal(a) is m
+            assert site.compose(site.identity(b), m) is m
+            assert site.compose(m, site.identity(a)) is m
+            assert site.factor_through_mono(site.identity(b), m) is m
+            assert site.tensor_mor(m, id_unit) is m
+            assert site.tensor_mor(id_unit, m) is m
+            for c, d in itertools.product(objs, repeat=2):
+                if site.leq(b, c):
+                    assert site.compose(site.arrow(b, c), m) is site.arrow(a, c)
+                if site.leq(c, d):
+                    assert site.tensor_mor(m, site.arrow(c, d)) is site.arrow(
+                        site.tensor_obj(a, c), site.tensor_obj(b, d)
+                    )
+
+
+def _eager_key(fam):
+    """A cover family's key, by the formula its constructor once applied."""
+    return (canon(fam.target), tuple(sorted(m.key() for m in fam.legs)))
+
+
+def _eager_clamped_key(key, cap):
+    name, legs = key
+    return (name, tuple(k for i, k in enumerate(legs) if legs[:i].count(k) < cap))
+
+
+def test_cover_keys_built_on_demand_are_the_eager_keys():
+    for site, coverage in _corpus_coverages():
+        objs = site.objects()
+        a, b = next(
+            (a, b) for a in objs for b in objs if a != b and site.leq(a, b)
+        )
+        with pytest.raises(InvalidSpec):
+            CoverFamily(a, [site.arrow(a, b)])
+        families = list(coverage.all_families())
+        assert families == sorted(families, key=_eager_key)
+        for fam in families:
+            key = _eager_key(fam)
+            assert CoverFamily(fam.target, fam.legs).key() == key
+            assert CoverFamily(fam.target, fam.legs).clamped_key(
+                coverage.mult_cap
+            ) == _eager_clamped_key(key, coverage.mult_cap)
+            assert hash(CoverFamily(fam.target, fam.legs)) == hash(key)
+            assert CoverFamily(fam.target, fam.legs[::-1]) == fam
+            assert coverage.contains(CoverFamily(fam.target, fam.legs))
+
+
+def test_join_rule_checks_never_build_a_cover_key(monkeypatch):
+    """The eager keys made 55,285 `Mor.key` calls in this check."""
+    coverage = load("tnat3")[2][0]
+    assert coverage.join_rule
+    calls = []
+    key = Mor.key
+    monkeypatch.setattr(Mor, "key", lambda m: calls.append(m) or key(m))
+    assert check_strong_prelopology(coverage).ok
+    assert len(calls) == 0
