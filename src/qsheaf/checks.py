@@ -1,0 +1,66 @@
+"""Check entries, check reports and the driver that fills them.
+
+Every exhaustive check in qsheaf (coverage axioms, coherence laws) is a
+generator over its instances, drained by `drain` into one `CheckEntry`.
+Checks whose instance counts are not reported (presheaf functoriality,
+the reflection certificate) build their entries directly and leave
+`checked` unset.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+
+@dataclass(frozen=True)
+class CheckEntry:
+    """One named check: its verdict, instances examined, first witness."""
+
+    name: str
+    ok: bool
+    checked: int | None = None
+    witness: str | None = None
+
+    def describe(self) -> str:
+        status = "pass" if self.ok else "FAIL"
+        count = "" if self.checked is None else f" ({self.checked} instances)"
+        tail = f" [{self.witness}]" if self.witness else ""
+        return f"{status} {self.name}{count}{tail}"
+
+
+@dataclass
+class CheckReport:
+    """Entries in report order, under an optional heading line."""
+
+    heading: str | None = None
+    entries: list = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return all(e.ok for e in self.entries)
+
+    def failures(self) -> list:
+        return [e for e in self.entries if not e.ok]
+
+    def summary(self) -> str:
+        if self.heading is None:
+            return "\n".join(e.describe() for e in self.entries)
+        lines = [self.heading] + ["  " + e.describe() for e in self.entries]
+        return "\n".join(lines)
+
+
+def drain(name: str, failures) -> CheckEntry:
+    """Run a check generator up to its first failure.
+
+    `failures` yields once per instance: `None` when the instance holds,
+    the witness string when it fails. A witness is therefore formatted
+    only for a failing instance. The entry counts the instances yielded,
+    the failing one included; the generator is not resumed after a
+    failure, and an exception it raises propagates.
+    """
+    checked = 0
+    for witness in failures:
+        checked += 1
+        if witness is not None:
+            return CheckEntry(name, False, checked, witness)
+    return CheckEntry(name, True, checked)

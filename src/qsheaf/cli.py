@@ -97,6 +97,10 @@ class RunReport:
             {"check": check, "checked": checked, "ok": bool(ok), "witness": witness}
         )
 
+    def add_entries(self, entries, prefix: str = "") -> None:
+        for e in entries:
+            self.add(prefix + e.name, e.ok, e.witness, e.checked)
+
     @property
     def ok(self) -> bool:
         return all(v["ok"] for v in self.verdicts)
@@ -219,9 +223,7 @@ def _load_presheaf(raw, site, report: RunReport):
         raise _BadInput from exc
     audit = validate_presheaf(site, p)
     if not audit.ok:
-        for e in audit.entries:
-            if not e.ok:
-                report.add(f"presheaf-{e.kind}", False, e.witness)
+        report.add_entries(audit.failures(), "presheaf-")
         raise _BadInput
     return p
 
@@ -277,8 +279,7 @@ def _cmd_check_prelopology(args, report: RunReport, rng) -> int:
     except NotCartesianSite as exc:
         report.add("site-cartesian", False, str(exc))
         return EXIT_FAIL
-    for e in outcome.entries:
-        report.add(e.axiom, e.ok, e.witness, checked=e.checked)
+    report.add_entries(outcome.entries)
     return EXIT_OK if outcome.ok else EXIT_FAIL
 
 
@@ -333,8 +334,7 @@ def _cmd_sheafify(args, report: RunReport, rng) -> int:
         else []
     )
     cert = certify_reflection(f, result, cov, battery)
-    for e in cert.entries:
-        report.add(e.name, e.ok, e.witness)
+    report.add_entries(cert.entries)
     out = args.out or str(Path(args.presheaf).with_suffix(".sheaf.json"))
     payload = json.dumps(result.sheaf.to_raw(), sort_keys=True, indent=2) + "\n"
     Path(out).write_text(payload, encoding="utf-8")
@@ -412,8 +412,7 @@ def _cmd_verify_appendix(args, report: RunReport, rng) -> int:
         report.add("instance", False, f"unknown instance {name!r}")
         return EXIT_INVALID
     outcome = verify_appendix_suite(instance, size_bound=suite_bound)
-    for e in outcome.entries:
-        report.add(e.name, e.ok, e.witness, checked=e.checked)
+    report.add_entries(outcome.entries)
     return EXIT_OK if outcome.ok else EXIT_FAIL
 
 

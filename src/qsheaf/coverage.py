@@ -5,8 +5,9 @@ A coverage assigns to each object a finite set of covering families
 predicate, not just a lookup: the canonical quantalic coverage answers
 by a join computation, explicit coverages by multiset comparison, and
 product coverages by testing both marginals. The checkers verify the
-claimed flavor exhaustively and report every violated axiom instance
-with a witness; they never raise on lawful input shapes.
+claimed flavor exhaustively and report, per axiom, the number of
+instances checked and the first violated instance with a witness; they
+never raise on lawful input shapes.
 
 Flavors, cumulative:
 - weak prelopology: isomorphism singletons, closure under composition,
@@ -19,8 +20,8 @@ Flavors, cumulative:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from .checks import CheckReport, drain
 from .errors import (
     InvalidSpec,
     NotCartesianSite,
@@ -95,37 +96,6 @@ class CoverFamily:
     def __repr__(self):
         doms = ",".join(canon(d) for d in self.domains())
         return f"{{{doms}}} -> {canon(self.target)}"
-
-
-@dataclass(frozen=True)
-class AxiomEntry:
-    axiom: str
-    ok: bool
-    checked: int
-    witness: str | None = None
-
-    def describe(self) -> str:
-        status = "pass" if self.ok else "FAIL"
-        tail = f" [{self.witness}]" if self.witness else ""
-        return f"{status} {self.axiom} ({self.checked} instances){tail}"
-
-
-@dataclass
-class CoverageReport:
-    flavor: str
-    entries: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def failures(self) -> list:
-        return [e for e in self.entries if not e.ok]
-
-    def summary(self) -> str:
-        lines = [f"coverage flavor check: {self.flavor}"]
-        lines += ["  " + e.describe() for e in self.entries]
-        return "\n".join(lines)
 
 
 class Coverage:
@@ -287,16 +257,24 @@ def parse_coverage(site: ThinCategory, raw: dict, quantale=None) -> Coverage:
         return canonical_quantale_coverage(quantale, site=site)
     if "covers" not in raw:
         raise InvalidSpec("coverage spec needs 'covers' or 'canonical'")
+    covers, mult_cap = raw["covers"], raw.get("mult_cap", 2)
+    if not isinstance(covers, list) or not all(isinstance(e, dict) for e in covers):
+        raise InvalidSpec("'covers' must be a list of objects")
+    if type(mult_cap) is not int:
+        raise InvalidSpec(f"'mult_cap' must be an integer, not {mult_cap!r}")
     by_name = {canon(u): u for u in site.objects()}
     assign = []
-    for entry in raw["covers"]:
+    for entry in covers:
         target = entry.get("target")
-        if target not in by_name:
+        if not isinstance(target, str) or target not in by_name:
             raise InvalidSpec(f"unknown cover target {target!r}")
+        leg_specs = entry.get("legs", [])
+        if not isinstance(leg_specs, list):
+            raise InvalidSpec(f"legs of a cover of {target} must be a list")
         legs = []
-        for leg in entry.get("legs", []):
+        for leg in leg_specs:
             dom = leg.get("dom") if isinstance(leg, dict) else leg
-            if dom not in by_name:
+            if not isinstance(dom, str) or dom not in by_name:
                 raise InvalidSpec(f"unknown leg domain {dom!r}")
             if not site.leq(by_name[dom], by_name[target]):
                 raise InvalidSpec(f"no arrow {dom} -> {target}")
@@ -308,7 +286,7 @@ def parse_coverage(site: ThinCategory, raw: dict, quantale=None) -> Coverage:
         flavor=raw.get("flavor", "prelopology"),
         join_rule=False,
         quantale=quantale,
-        mult_cap=int(raw.get("mult_cap", 2)),
+        mult_cap=mult_cap,
     )
 
 
@@ -349,30 +327,21 @@ def product_coverage(left: Coverage, right: Coverage) -> Coverage:
 
 
 # ---------------------------------------------------------------------------
-# axiom checkers
+# axiom checkers: generators drained by `checks.drain`
 
 
-def _check_iso_singletons(cov: Coverage):
+def _iso_singletons(cov: Coverage):
     site = cov.site
-    checked = 0
     for u in site.objects():
         for w in site.objects():
             for m in site.hom(w, u):
-                if not site.is_iso(m):
-                    continue
-                checked += 1
-                if not cov.contains(CoverFamily(u, [m])):
-                    return AxiomEntry(
-                        "iso-singletons",
-                        False,
-                        checked,
-                        f"iso singleton {canon(w)} -> {canon(u)} missing",
+                if site.is_iso(m):
+                    yield None if cov.contains(CoverFamily(u, [m])) else (
+                        f"iso singleton {canon(w)} -> {canon(u)} missing"
                     )
-    return AxiomEntry("iso-singletons", True, checked)
 
 
-def _check_composition(cov: Coverage):
-    checked = 0
+def _composition(cov: Coverage):
     site = cov.site
     for fam in cov.all_families():
         for i, leg in enumerate(fam.legs):
@@ -382,19 +351,12 @@ def _check_composition(cov: Coverage):
                     + tuple(site.compose(leg, g) for g in refinement.legs)
                     + fam.legs[i + 1:]
                 )
-                checked += 1
-                if not cov.contains(CoverFamily(fam.target, composite)):
-                    return AxiomEntry(
-                        "composition",
-                        False,
-                        checked,
-                        f"refining leg {i} of {fam!r} by {refinement!r}",
-                    )
-    return AxiomEntry("composition", True, checked)
+                yield None if cov.contains(CoverFamily(fam.target, composite)) else (
+                    f"refining leg {i} of {fam!r} by {refinement!r}"
+                )
 
 
-def _check_tensor_stability(cov: Coverage):
-    checked = 0
+def _tensor_stability(cov: Coverage):
     site = cov.site
     for fam in cov.all_families():
         for v in site.objects():
@@ -408,19 +370,12 @@ def _check_tensor_stability(cov: Coverage):
                 [site.tensor_mor(id_v, f) for f in fam.legs],
             )
             for side, tensored in (("right", right), ("left", left)):
-                checked += 1
-                if not cov.contains(tensored):
-                    return AxiomEntry(
-                        "tensor-stability",
-                        False,
-                        checked,
-                        f"{fam!r} tensored with {canon(v)} on the {side}",
-                    )
-    return AxiomEntry("tensor-stability", True, checked)
+                yield None if cov.contains(tensored) else (
+                    f"{fam!r} tensored with {canon(v)} on the {side}"
+                )
 
 
-def _check_ppb_stability(cov: Coverage):
-    checked = 0
+def _ppb_stability(cov: Coverage):
     site = cov.site
     for fam in cov.all_families():
         u = fam.target
@@ -438,50 +393,35 @@ def _check_ppb_stability(cov: Coverage):
                             piece.into,
                         )
                         phis.append(site.factor_through_mono(base.into, arrow))
-                    checked += 1
                     if any(phi is None for phi in phis):
-                        return AxiomEntry(
-                            "ppb-stability",
-                            False,
-                            checked,
+                        yield (
                             f"{fam!r} along {canon(v)} -> {canon(u)} ({side}): "
-                            "no equalizer factorization",
+                            "no equalizer factorization"
                         )
-                    if not cov.contains(CoverFamily(base.obj, phis)):
-                        return AxiomEntry(
-                            "ppb-stability",
-                            False,
-                            checked,
-                            f"{fam!r} along {canon(v)} -> {canon(u)} ({side})",
-                        )
-    return AxiomEntry("ppb-stability", True, checked)
+                    elif not cov.contains(CoverFamily(base.obj, phis)):
+                        yield f"{fam!r} along {canon(v)} -> {canon(u)} ({side})"
+                    else:
+                        yield None
 
 
-def _check_projection_factorizations(cov: Coverage):
-    checked = 0
+def _projection_factorizations(cov: Coverage):
     site = cov.site
     for fam in cov.all_families():
         if not fam.legs:
             continue
         for v in site.objects():
-            checked += 1
             ok, details = exists_l_r_factorizations(site, fam.legs, v)
-            if not ok:
+            if ok:
+                yield None
+            else:
                 bad = next(
                     d["pair"] for d in details
                     if d["l"] is None or d["r"] is None
                 )
-                return AxiomEntry(
-                    "projection-factorizations",
-                    False,
-                    checked,
-                    f"{fam!r} with {canon(v)}: no l/r for leg pair {bad}",
-                )
-    return AxiomEntry("projection-factorizations", True, checked)
+                yield f"{fam!r} with {canon(v)}: no l/r for leg pair {bad}"
 
 
-def _check_pullback_stability(cov: Coverage):
-    checked = 0
+def _pullback_stability(cov: Coverage):
     site = cov.site
     for fam in cov.all_families():
         u = fam.target
@@ -490,59 +430,56 @@ def _check_pullback_stability(cov: Coverage):
                 legs = [
                     pseudo_pullback(site, f, g).p2 for f in fam.legs
                 ]
-                checked += 1
-                if not cov.contains(CoverFamily(v, legs)):
-                    return AxiomEntry(
-                        "pullback-stability",
-                        False,
-                        checked,
-                        f"pullbacks of {fam!r} along {canon(v)} -> {canon(u)}",
-                    )
-    return AxiomEntry("pullback-stability", True, checked)
+                yield None if cov.contains(CoverFamily(v, legs)) else (
+                    f"pullbacks of {fam!r} along {canon(v)} -> {canon(u)}"
+                )
 
 
-def check_weak_prelopology(cov: Coverage) -> CoverageReport:
-    report = CoverageReport("weak_prelopology")
-    report.entries.append(_check_iso_singletons(cov))
-    report.entries.append(_check_composition(cov))
-    report.entries.append(_check_tensor_stability(cov))
-    return report
+_WEAK = (
+    ("iso-singletons", _iso_singletons),
+    ("composition", _composition),
+    ("tensor-stability", _tensor_stability),
+)
+_PRELOPOLOGY = _WEAK + (("ppb-stability", _ppb_stability),)
+_AXIOMS = {
+    "weak_prelopology": _WEAK,
+    "prelopology": _PRELOPOLOGY,
+    "strong_prelopology": _PRELOPOLOGY + (
+        ("projection-factorizations", _projection_factorizations),
+    ),
+    "pretopology": _WEAK[:2] + (("pullback-stability", _pullback_stability),),
+}
 
 
-def check_prelopology(cov: Coverage) -> CoverageReport:
-    report = check_weak_prelopology(cov)
-    report.flavor = "prelopology"
-    report.entries.append(_check_ppb_stability(cov))
-    return report
-
-
-def check_strong_prelopology(cov: Coverage) -> CoverageReport:
-    report = check_prelopology(cov)
-    report.flavor = "strong_prelopology"
-    report.entries.append(_check_projection_factorizations(cov))
-    return report
-
-
-def check_pretopology(cov: Coverage) -> CoverageReport:
-    if not cov.site.is_cartesian:
+def _check(cov: Coverage, flavor: str) -> CheckReport:
+    if flavor == "pretopology" and not cov.site.is_cartesian:
         raise NotCartesianSite(
             "pretopology checks need tensor = categorical product"
         )
-    report = CoverageReport("pretopology")
-    report.entries.append(_check_iso_singletons(cov))
-    report.entries.append(_check_composition(cov))
-    report.entries.append(_check_pullback_stability(cov))
-    return report
+    return CheckReport(
+        f"coverage flavor check: {flavor}",
+        [drain(name, axiom(cov)) for name, axiom in _AXIOMS[flavor]],
+    )
 
 
-def check_flavor(cov: Coverage, flavor=None) -> CoverageReport:
+def check_weak_prelopology(cov: Coverage) -> CheckReport:
+    return _check(cov, "weak_prelopology")
+
+
+def check_prelopology(cov: Coverage) -> CheckReport:
+    return _check(cov, "prelopology")
+
+
+def check_strong_prelopology(cov: Coverage) -> CheckReport:
+    return _check(cov, "strong_prelopology")
+
+
+def check_pretopology(cov: Coverage) -> CheckReport:
+    return _check(cov, "pretopology")
+
+
+def check_flavor(cov: Coverage, flavor=None) -> CheckReport:
     flavor = flavor or cov.flavor
-    checkers = {
-        "weak_prelopology": check_weak_prelopology,
-        "prelopology": check_prelopology,
-        "strong_prelopology": check_strong_prelopology,
-        "pretopology": check_pretopology,
-    }
-    if flavor not in checkers:
+    if flavor not in _AXIOMS:
         raise InvalidSpec(f"unknown coverage flavor {flavor!r}")
-    return checkers[flavor](cov)
+    return _check(cov, flavor)

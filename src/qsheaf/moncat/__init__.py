@@ -1,11 +1,6 @@
 """Semicartesian monoidal instances, pseudo-pullbacks, coherence checks."""
 
-from .coherence import (
-    CheckEntry,
-    CoherenceReport,
-    verify_appendix_suite,
-    verify_monoidal_laws,
-)
+from .coherence import verify_appendix_suite, verify_monoidal_laws
 from .core import (
     FinSetCategory,
     MonoidalCategory,
@@ -24,8 +19,6 @@ from .core import (
 )
 
 __all__ = [
-    "CheckEntry",
-    "CoherenceReport",
     "FinSetCategory",
     "MonoidalCategory",
     "Mor",

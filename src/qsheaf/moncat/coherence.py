@@ -12,44 +12,10 @@ the first failure found.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
+from ..checks import CheckEntry, CheckReport, drain
 from ..finset import FinMap
 from .core import Mor, MonoidalCategory, canon, projection1, projection2
-
-
-@dataclass(frozen=True)
-class CheckEntry:
-    name: str
-    ok: bool
-    checked: int
-    witness: str | None = None
-
-    def describe(self) -> str:
-        status = "pass" if self.ok else "FAIL"
-        tail = f" [{self.witness}]" if self.witness else ""
-        return f"{status} {self.name} ({self.checked} instances){tail}"
-
-
-@dataclass
-class CoherenceReport:
-    instance: str
-    size_bound: int | None
-    entries: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def failures(self) -> list:
-        return [e for e in self.entries if not e.ok]
-
-    def summary(self) -> str:
-        head = f"coherence on {self.instance}"
-        if self.size_bound is not None:
-            head += f" (size bound {self.size_bound})"
-        lines = [head] + ["  " + e.describe() for e in self.entries]
-        return "\n".join(lines)
 
 
 def _size_of(c: MonoidalCategory, obj) -> int:
@@ -81,30 +47,20 @@ def _first_diff(lhs: Mor, rhs: Mor) -> str:
     return "morphisms differ"
 
 
-class _Failed(Exception):
-    def __init__(self, witness):
-        self.witness = witness
-
-
-def _run_check(name, gen):
-    """Drain a generator of (ok, witness) pairs into a CheckEntry."""
-    checked = 0
+def _guarded(failures):
+    """Report an exception of a broken instance as the failing instance."""
     try:
-        for ok, witness in gen:
-            checked += 1
-            if not ok:
-                return CheckEntry(name, False, checked, witness)
-    except _Failed as stop:
-        return CheckEntry(name, False, checked + 1, stop.witness)
+        yield from failures
     except Exception as exc:  # a broken instance may not even typecheck
-        return CheckEntry(name, False, checked + 1, f"exception: {exc}")
-    return CheckEntry(name, True, checked)
+        yield f"exception: {exc}"
 
 
-def _expect(tag, lhs, rhs):
-    if lhs != rhs:
-        return False, f"{tag}: {_first_diff(lhs, rhs)}"
-    return True, None
+def _mismatch(lhs: Mor, rhs: Mor, where: str, *objs):
+    """None when lhs == rhs, else `where` filled with the objects' names
+    followed by the first difference."""
+    if lhs == rhs:
+        return None
+    return where.format(*map(canon, objs)) + ": " + _first_diff(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -121,15 +77,15 @@ def _gen_compose_assoc(c, objs):
                 for f, g, h in itertools.product(homs_ab, homs_bd, homs_de):
                     lhs = c.compose(h, c.compose(g, f))
                     rhs = c.compose(c.compose(h, g), f)
-                    yield _expect(f"(h.g).f at {canon(a)}->{canon(e)}", lhs, rhs)
+                    yield _mismatch(lhs, rhs, "(h.g).f at {}->{}", a, e)
 
 
 def _gen_compose_identity(c, objs):
     for a, b in itertools.product(objs, repeat=2):
         ida, idb = c.identity(a), c.identity(b)
         for f in c.hom(a, b):
-            yield _expect(f"id.f at {canon(a)}->{canon(b)}", c.compose(idb, f), f)
-            yield _expect(f"f.id at {canon(a)}->{canon(b)}", c.compose(f, ida), f)
+            yield _mismatch(c.compose(idb, f), f, "id.f at {}->{}", a, b)
+            yield _mismatch(c.compose(f, ida), f, "f.id at {}->{}", a, b)
 
 
 def _gen_pentagon(c, objs):
@@ -145,9 +101,7 @@ def _gen_pentagon(c, objs):
             c.associator(w, x, c.tensor_obj(y, z)),
             c.associator(c.tensor_obj(w, x), y, z),
         )
-        yield _expect(
-            f"pentagon({canon(w)},{canon(x)},{canon(y)},{canon(z)})", lhs, rhs
-        )
+        yield _mismatch(lhs, rhs, "pentagon({},{},{},{})", w, x, y, z)
 
 
 def _gen_triangle(c, objs):
@@ -157,16 +111,17 @@ def _gen_triangle(c, objs):
             c.associator(a, c.unit, b),
         )
         rhs = c.tensor_mor(c.right_unitor(a), c.identity(b))
-        yield _expect(f"triangle({canon(a)},{canon(b)})", lhs, rhs)
+        yield _mismatch(lhs, rhs, "triangle({},{})", a, b)
 
 
 def _gen_unit_terminal(c, objs):
     for x in objs:
         n = len(c.hom(x, c.unit))
-        yield n == 1, f"|hom({canon(x)},1)| = {n}"
+        yield None if n == 1 else f"|hom({canon(x)},1)| = {n}"
 
 
 def _gen_unitor_vs_associator(c, objs, side):
+    where = "unitor-" + side + "({},{})"
     for a, b in itertools.product(objs, repeat=2):
         if side == "left":
             lhs = c.compose(
@@ -179,17 +134,17 @@ def _gen_unitor_vs_associator(c, objs, side):
                 c.associator(a, b, c.unit),
             )
             rhs = c.right_unitor(c.tensor_obj(a, b))
-        yield _expect(f"unitor-{side}({canon(a)},{canon(b)})", lhs, rhs)
+        yield _mismatch(lhs, rhs, where, a, b)
 
 
 def _gen_braid_symmetry(c, objs):
     for a, b in itertools.product(objs, repeat=2):
         braid = c.braiding(a, b)
         back = c.braiding(b, a)
-        yield _expect(
-            f"b.b at ({canon(a)},{canon(b)})",
+        yield _mismatch(
             c.compose(back, braid),
             c.identity(c.tensor_obj(a, b)),
+            "b.b at ({},{})", a, b,
         )
 
 
@@ -206,20 +161,20 @@ def _gen_braid_hexagon(c, objs):
                 c.tensor_mor(c.braiding(a, b), c.identity(d)),
             ),
         )
-        yield _expect(f"hexagon({canon(a)},{canon(b)},{canon(d)})", lhs, rhs)
+        yield _mismatch(lhs, rhs, "hexagon({},{},{})", a, b, d)
 
 
 def _gen_braid_unitors(c, objs):
     for a in objs:
-        yield _expect(
-            f"l.b_(a,1) at {canon(a)}",
+        yield _mismatch(
             c.compose(c.left_unitor(a), c.braiding(a, c.unit)),
             c.right_unitor(a),
+            "l.b_(a,1) at {}", a,
         )
-        yield _expect(
-            f"r.b_(1,a) at {canon(a)}",
+        yield _mismatch(
             c.compose(c.right_unitor(a), c.braiding(c.unit, a)),
             c.left_unitor(a),
+            "r.b_(1,a) at {}", a,
         )
 
 
@@ -234,7 +189,7 @@ def _gen_proj_assoc_right(c, objs):
             projection2(c, x, c.tensor_obj(a, b)), c.associator(x, a, b)
         )
         rhs = c.tensor_mor(projection2(c, x, a), c.identity(b))
-        yield _expect(f"({canon(x)},{canon(a)},{canon(b)})", lhs, rhs)
+        yield _mismatch(lhs, rhs, "({},{},{})", x, a, b)
 
 
 def _gen_proj_assoc_left(c, objs):
@@ -245,7 +200,7 @@ def _gen_proj_assoc_left(c, objs):
             c.associator(a, b, x),
         )
         rhs = projection1(c, c.tensor_obj(a, b), x)
-        yield _expect(f"({canon(a)},{canon(b)},{canon(x)})", lhs, rhs)
+        yield _mismatch(lhs, rhs, "({},{},{})", a, b, x)
 
 
 def _gen_proj_middle_deletion(c, objs):
@@ -256,7 +211,7 @@ def _gen_proj_middle_deletion(c, objs):
             c.associator(a, x, b),
         )
         rhs = c.tensor_mor(projection1(c, a, x), c.identity(b))
-        yield _expect(f"({canon(a)},{canon(x)},{canon(b)})", lhs, rhs)
+        yield _mismatch(lhs, rhs, "({},{},{})", a, x, b)
 
 
 def _gen_proj_tensor_factor(c, objs, which):
@@ -279,7 +234,7 @@ def _gen_proj_tensor_factor(c, objs, which):
                 projection2(c, a, xb),
                 c.tensor_mor(projection2(c, x, a), c.identity(xb)),
             )
-        yield _expect(f"({canon(x)},{canon(a)},{canon(b)})", lhs, rhs)
+        yield _mismatch(lhs, rhs, "({},{},{})", x, a, b)
 
 
 def _gen_braid_projections(c, objs, which):
@@ -291,11 +246,15 @@ def _gen_braid_projections(c, objs, which):
         else:
             lhs = c.compose(projection1(c, b, a), braid)
             rhs = projection2(c, a, b)
-        yield _expect(f"({canon(a)},{canon(b)})", lhs, rhs)
+        yield _mismatch(lhs, rhs, "({},{})", a, b)
 
 
 # ---------------------------------------------------------------------------
 # pseudo-pullback equalizing and comparison generators
+
+
+def _ppb_tag(x, a, b, cod):
+    return f"X={canon(x)}, f:{canon(a)}->{canon(cod)}, g:{canon(b)}->{canon(cod)}"
 
 
 def _gen_ppb_equalizing(c, objs, also_compare):
@@ -321,10 +280,6 @@ def _gen_ppb_equalizing(c, objs, also_compare):
                 pi1_small = projection1(c, a, b)
                 pi2_small = projection2(c, a, b)
                 for cod in objs:
-                    tag = (
-                        f"X={canon(x)}, f:{canon(a)}->{canon(cod)}, "
-                        f"g:{canon(b)}->{canon(cod)}"
-                    )
                     homs_g = c.hom(b, cod)
                     for f in c.hom(a, cod):
                         xf = c.tensor_mor(id_x, f)
@@ -341,55 +296,25 @@ def _gen_ppb_equalizing(c, objs, also_compare):
                             g_small = c.compose(g, pi2_small)
                             rhs = c.compose(c.tensor_mor(id_x, g_small), m)
                             if lhs != rhs:
-                                yield False, f"{tag}: {_first_diff(lhs, rhs)}"
+                                yield f"{_ppb_tag(x, a, b, cod)}: {_first_diff(lhs, rhs)}"
                                 continue
                             if also_compare:
                                 _, e_base = c.equalizer(f_small, g_small)
                                 xe = c.tensor_mor(id_x, e_base)
-                                u = c.factor_through_mono(xe, m)
-                                if u is None:
-                                    yield False, f"{tag}: no factorization through tensored equalizer"
+                                if c.factor_through_mono(xe, m) is None:
+                                    yield (
+                                        f"{_ppb_tag(x, a, b, cod)}: no factorization"
+                                        " through tensored equalizer"
+                                    )
                                     continue
                                 if isinstance(xe.data, FinMap) and not xe.data.is_injective():
-                                    yield False, f"{tag}: tensored equalizer not mono"
+                                    yield f"{_ppb_tag(x, a, b, cod)}: tensored equalizer not mono"
                                     continue
-                            yield True, None
+                            yield None
 
 
 # ---------------------------------------------------------------------------
 # public entry points
-
-
-def verify_monoidal_laws(instance: MonoidalCategory, size_bound=None) -> CoherenceReport:
-    """Category, monoidal, unit-terminal, and braiding axioms."""
-    objs = _objects_within(instance, size_bound)
-    report = CoherenceReport(repr(instance), size_bound)
-    report.entries.append(
-        _run_check("compose-assoc", _gen_compose_assoc(instance, objs))
-    )
-    report.entries.append(
-        _run_check("compose-identity", _gen_compose_identity(instance, objs))
-    )
-    report.entries.append(_run_check("pentagon", _gen_pentagon(instance, objs)))
-    report.entries.append(_run_check("triangle", _gen_triangle(instance, objs)))
-    report.entries.append(
-        _run_check("unit-terminal", _gen_unit_terminal(instance, objs))
-    )
-    if _has_braiding(instance, objs):
-        report.entries.append(
-            _run_check("braid-symmetry", _gen_braid_symmetry(instance, objs))
-        )
-        report.entries.append(
-            _run_check("braid-hexagon", _gen_braid_hexagon(instance, objs))
-        )
-    else:
-        report.entries.append(
-            CheckEntry("braid-symmetry", True, 0, "skipped: no braiding")
-        )
-        report.entries.append(
-            CheckEntry("braid-hexagon", True, 0, "skipped: no braiding")
-        )
-    return report
 
 
 def _has_braiding(instance, objs) -> bool:
@@ -401,51 +326,64 @@ def _has_braiding(instance, objs) -> bool:
         return False
 
 
-def verify_appendix_suite(instance: MonoidalCategory, size_bound=None,
-                          fail_fast=False) -> CoherenceReport:
-    """Every projection/associator/braiding/equalizer interaction law."""
+def _run_suite(instance, size_bound, laws, fail_fast=False) -> CheckReport:
+    """One entry per law in order; laws named `braid-*` need a braiding."""
     objs = _objects_within(instance, size_bound)
-    report = CoherenceReport(repr(instance), size_bound)
+    heading = f"coherence on {instance!r}"
+    if size_bound is not None:
+        heading += f" (size bound {size_bound})"
+    report = CheckReport(heading)
     braided = _has_braiding(instance, objs)
-    checks = [
-        ("pentagon", lambda: _gen_pentagon(instance, objs)),
-        ("triangle", lambda: _gen_triangle(instance, objs)),
-        ("unit-terminal", lambda: _gen_unit_terminal(instance, objs)),
-        ("unitor-associator-left",
-         lambda: _gen_unitor_vs_associator(instance, objs, "left")),
-        ("unitor-associator-right",
-         lambda: _gen_unitor_vs_associator(instance, objs, "right")),
-        ("proj-assoc-right", lambda: _gen_proj_assoc_right(instance, objs)),
-        ("proj-assoc-left", lambda: _gen_proj_assoc_left(instance, objs)),
-        ("proj-middle-deletion",
-         lambda: _gen_proj_middle_deletion(instance, objs)),
-        ("proj-tensor-factor-1",
-         lambda: _gen_proj_tensor_factor(instance, objs, 1)),
-        ("proj-tensor-factor-2",
-         lambda: _gen_proj_tensor_factor(instance, objs, 2)),
-    ]
-    braid_checks = [
-        ("braid-unitors", lambda: _gen_braid_unitors(instance, objs)),
-        ("braid-projections-1",
-         lambda: _gen_braid_projections(instance, objs, 1)),
-        ("braid-projections-2",
-         lambda: _gen_braid_projections(instance, objs, 2)),
-    ]
-    for name, gen in braid_checks:
-        if braided:
-            checks.append((name, gen))
-        else:
+    for name, gen in laws:
+        if not braided and name.startswith("braid-"):
             report.entries.append(CheckEntry(name, True, 0, "skipped: no braiding"))
-    checks.append(
-        ("ppb-equalizing", lambda: _gen_ppb_equalizing(instance, objs, False))
-    )
-    checks.append(
-        ("ppb-tensor-compare", lambda: _gen_ppb_equalizing(instance, objs, True))
-    )
-    for name, gen in checks:
-        entry = _run_check(name, gen())
+            continue
+        entry = drain(name, _guarded(gen(instance, objs)))
         report.entries.append(entry)
         if fail_fast and not entry.ok:
             break
+    return report
+
+
+_MONOIDAL_LAWS = (
+    ("compose-assoc", _gen_compose_assoc),
+    ("compose-identity", _gen_compose_identity),
+    ("pentagon", _gen_pentagon),
+    ("triangle", _gen_triangle),
+    ("unit-terminal", _gen_unit_terminal),
+    ("braid-symmetry", _gen_braid_symmetry),
+    ("braid-hexagon", _gen_braid_hexagon),
+)
+
+_APPENDIX_LAWS = (
+    ("pentagon", _gen_pentagon),
+    ("triangle", _gen_triangle),
+    ("unit-terminal", _gen_unit_terminal),
+    ("unitor-associator-left",
+     lambda c, objs: _gen_unitor_vs_associator(c, objs, "left")),
+    ("unitor-associator-right",
+     lambda c, objs: _gen_unitor_vs_associator(c, objs, "right")),
+    ("proj-assoc-right", _gen_proj_assoc_right),
+    ("proj-assoc-left", _gen_proj_assoc_left),
+    ("proj-middle-deletion", _gen_proj_middle_deletion),
+    ("proj-tensor-factor-1", lambda c, objs: _gen_proj_tensor_factor(c, objs, 1)),
+    ("proj-tensor-factor-2", lambda c, objs: _gen_proj_tensor_factor(c, objs, 2)),
+    ("braid-unitors", _gen_braid_unitors),
+    ("braid-projections-1", lambda c, objs: _gen_braid_projections(c, objs, 1)),
+    ("braid-projections-2", lambda c, objs: _gen_braid_projections(c, objs, 2)),
+    ("ppb-equalizing", lambda c, objs: _gen_ppb_equalizing(c, objs, False)),
+    ("ppb-tensor-compare", lambda c, objs: _gen_ppb_equalizing(c, objs, True)),
+)
+
+
+def verify_monoidal_laws(instance: MonoidalCategory, size_bound=None) -> CheckReport:
+    """Category, monoidal, unit-terminal, and braiding axioms."""
+    return _run_suite(instance, size_bound, _MONOIDAL_LAWS)
+
+
+def verify_appendix_suite(instance: MonoidalCategory, size_bound=None,
+                          fail_fast=False) -> CheckReport:
+    """Every projection/associator/braiding/equalizer interaction law."""
+    report = _run_suite(instance, size_bound, _APPENDIX_LAWS, fail_fast)
     report.entries.sort(key=lambda e: e.name)
     return report

@@ -187,13 +187,11 @@ class ThinCategory(MonoidalCategory):
 
     is_thin = True
 
-    def __init__(self, elements, leq_pairs, mul, unit=None, quantale=None,
-                 components=None):
+    def __init__(self, elements, leq_pairs, mul, unit=None, components=None):
         self._elements = list(elements)
         self._leq = frozenset(leq_pairs)
         self._mul = dict(mul)
         self.unit_obj = unit
-        self.quantale = quantale
         self.components = components
         eset = set(self._elements)
         for (a, b), c in self._mul.items():
@@ -231,13 +229,7 @@ class ThinCategory(MonoidalCategory):
 
     @classmethod
     def from_quantale(cls, q):
-        return cls(
-            q.elements,
-            q._leq,
-            q._mul,
-            unit=q.unit,
-            quantale=q,
-        )
+        return cls(q.elements, q._leq, q._mul, unit=q.unit)
 
     @classmethod
     def from_ordered_monoid(cls, elements, leq_pairs, mul, unit):

@@ -16,10 +16,11 @@ to naturality on all comparable pairs.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 from . import finset
+from .checks import CheckEntry, CheckReport
 from .coverage import CoverFamily
 from .errors import (
     InvalidSpec,
@@ -114,39 +115,24 @@ class Presheaf:
         return f"Presheaf({sizes})"
 
 
-@dataclass(frozen=True)
-class PresheafCheck:
-    kind: str
-    ok: bool
-    witness: str | None = None
-
-
 @dataclass
-class PresheafValidation:
-    presheaf: Presheaf | None
-    entries: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.presheaf is not None and all(e.ok for e in self.entries)
-
-    def summary(self) -> str:
-        lines = []
-        for e in self.entries:
-            status = "pass" if e.ok else "FAIL"
-            tail = f" [{e.witness}]" if e.witness else ""
-            lines.append(f"{status} {e.kind}{tail}")
-        return "\n".join(lines)
+class PresheafValidation(CheckReport):
+    presheaf: Presheaf | None = None
 
 
 def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
-    if not isinstance(raw, dict) or "at" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("at"), dict):
         raise InvalidSpec("presheaf spec needs an 'at' table")
+    if not isinstance(raw.get("res", {}), dict):
+        raise InvalidSpec("the 'res' table of a presheaf spec must be an object")
     objs = {site.name(u): u for u in site.objects()}
     at = {}
     for cu, labels in raw["at"].items():
         if cu not in objs:
             raise InvalidSpec(f"unknown object {cu!r} in presheaf spec")
+        # FinSetObj itself rejects labels other than strings and integers
+        if not isinstance(labels, list) or any(isinstance(x, int) for x in labels):
+            raise InvalidSpec(f"value set of {cu} must be a list of string labels")
         at[objs[cu]] = FinSetObj(labels)
     missing = objs.keys() - raw["at"].keys()
     if missing:
@@ -158,8 +144,10 @@ def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
         cv, cu = key.split("<=", 1)
         if cv not in objs or cu not in objs:
             raise InvalidSpec(f"restriction key {key!r} names unknown objects")
+        if not isinstance(table, dict):
+            raise InvalidSpec(f"restriction {key!r} must be an object")
         v, u = objs[cv], objs[cu]
-        res[(v, u)] = FinMap(at[u], at[v], dict(table))
+        res[(v, u)] = FinMap(at[u], at[v], table)
     return Presheaf(site, at, res)
 
 
@@ -171,36 +159,29 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
         try:
             p = parse_presheaf(site, raw_or_presheaf)
         except (InvalidSpec, MissingRestriction) as exc:
-            out = PresheafValidation(None)
-            out.entries.append(PresheafCheck("structure", False, str(exc)))
-            return out
-    out = PresheafValidation(p)
-    objs = site.objects()
-    for u in objs:
-        if p.restrict(u, u) != finset.identity(p.value(u)):
-            out.entries.append(
-                PresheafCheck("identity", False, f"res({site.name(u)}) is not id")
+            return PresheafValidation(
+                entries=[CheckEntry("structure", False, witness=str(exc))]
             )
-    bad = None
-    for u in objs:
-        for v in objs:
-            if not site.leq(v, u):
-                continue
-            for w in objs:
-                if not site.leq(w, v):
-                    continue
-                lhs = finset.compose(p.restrict(w, v), p.restrict(v, u))
-                if lhs != p.restrict(w, u):
-                    bad = f"{site.name(w)} <= {site.name(v)} <= {site.name(u)}"
-                    break
-            if bad:
-                break
-        if bad:
-            break
-    out.entries.append(PresheafCheck("composition", bad is None, bad))
-    if not out.entries or all(e.kind != "identity" for e in out.entries):
-        out.entries.insert(0, PresheafCheck("identity", True))
-    return out
+    objs = site.objects()
+    not_id = [u for u in objs if p.restrict(u, u) != finset.identity(p.value(u))]
+    bad = next(
+        (
+            f"{site.name(w)} <= {site.name(v)} <= {site.name(u)}"
+            for u in objs
+            for v in objs
+            if site.leq(v, u)
+            for w in objs
+            if site.leq(w, v)
+            and finset.compose(p.restrict(w, v), p.restrict(v, u)) != p.restrict(w, u)
+        ),
+        None,
+    )
+    entries = [
+        CheckEntry("identity", False, witness=f"res({site.name(u)}) is not id")
+        for u in not_id
+    ] or [CheckEntry("identity", True)]
+    entries.append(CheckEntry("composition", bad is None, witness=bad))
+    return PresheafValidation(entries=entries, presheaf=p)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import finset
+from .checks import CheckEntry, CheckReport
 from .coverage import Coverage
 from .errors import (
     InternalDefect,
@@ -261,53 +262,30 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     return results
 
 
-@dataclass(frozen=True)
-class CertEntry:
-    name: str
-    ok: bool
-    witness: str | None = None
-
-
-@dataclass
-class CertificationReport:
-    entries: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
-
-    def summary(self) -> str:
-        return "\n".join(
-            f"{'pass' if e.ok else 'FAIL'} {e.name}"
-            + (f" [{e.witness}]" if e.witness else "")
-            for e in self.entries
-        )
-
-
 def certify_reflection(
     f: Presheaf,
     result: ReflectionResult,
     coverage: Coverage,
     battery: list | None = None,
-) -> CertificationReport:
+) -> CheckReport:
     """Check the universal property, not just the sheaf condition."""
-    report = CertificationReport()
-    report.entries.append(CertEntry("converged", result.converged))
+    report = CheckReport()
+    report.entries.append(CheckEntry("converged", result.converged))
     report.entries.append(
-        CertEntry(
+        CheckEntry(
             "result-sheaf-equalizer",
             check_sheaf_equalizer(result.sheaf, coverage).verdict
             == VERDICT_SHEAF,
         )
     )
     report.entries.append(
-        CertEntry(
+        CheckEntry(
             "result-sheaf-orthogonal",
             check_sheaf_orthogonal(result.sheaf, coverage).verdict
             == VERDICT_SHEAF,
         )
     )
-    report.entries.append(CertEntry("unit-natural", result.unit.is_natural()))
+    report.entries.append(CheckEntry("unit-natural", result.unit.is_natural()))
     if battery is None:
         battery = enumerate_sheaves(f.site, coverage, max_size=2)
     bad = None
@@ -322,7 +300,9 @@ def certify_reflection(
             bad = f"battery[{idx}]: unit precomposition not onto"
             break
     report.entries.append(
-        CertEntry(f"battery-bijections ({len(battery)} sheaves)", bad is None, bad)
+        CheckEntry(
+            f"battery-bijections ({len(battery)} sheaves)", bad is None, witness=bad
+        )
     )
     return report
 
@@ -410,7 +390,11 @@ class SubobjectLattice:
         return least[0]
 
 
-def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
+# the most candidate subpresheaves (the product of 2^|f(u)|) enumerated
+SUBOBJECT_CAP = 1 << 16
+
+
+def _subpresheaves(f: Presheaf):
     site = f.site
     order, _, ups = site_order(site)
     order = order[::-1]
@@ -418,7 +402,7 @@ def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
     total = 1
     for u in site.objects():
         total *= 2 ** len(f.value(u))
-        if total > size_cap:
+        if total > SUBOBJECT_CAP:
             raise UnverifiedInput(
                 "subobject enumeration would be too large; refusing to guess"
             )
@@ -446,14 +430,13 @@ def _subpresheaves(f: Presheaf, size_cap: int = 1 << 16):
     return out
 
 
-def subsheaf_lattice(f: Presheaf, coverage: Coverage,
-                     size_cap: int = 1 << 16) -> SubobjectLattice:
+def subsheaf_lattice(f: Presheaf, coverage: Coverage) -> SubobjectLattice:
     """All subpresheaves that pass the sheaf check, ordered pointwise."""
     if not check_sheaf_equalizer(f, coverage).ok:
         raise UnverifiedInput("subobject lattices are built over sheaves")
     members = [
         p
-        for p in _subpresheaves(f, size_cap)
+        for p in _subpresheaves(f)
         if check_sheaf_equalizer(p, coverage).ok
     ]
     members.sort(key=lambda p: (p.total_size(), repr(p.to_raw())))
@@ -601,7 +584,11 @@ class LoposReport:
         )
 
 
-def lopos_check(raw: dict, size_cap: int = 16) -> LoposReport:
+# the most elements whose down-sets (up to 2^16 subsets) are enumerated
+LOPOS_CAP = 16
+
+
+def lopos_check(raw: dict) -> LoposReport:
     """Does the down-set algebra of a multiplicative poset stay lattice-like?
 
     Joins must commute with the product induced on down-sets. For a
@@ -611,7 +598,7 @@ def lopos_check(raw: dict, size_cap: int = 16) -> LoposReport:
     """
     norm = parse_raw(raw)
     elements, mul = norm["elements"], norm["mul"]
-    if len(elements) > size_cap:
+    if len(elements) > LOPOS_CAP:
         raise UnverifiedInput("down-set enumeration would be too large")
     leq = _closure(elements, norm["pairs"])
     for a, b in itertools.combinations(elements, 2):

@@ -43,6 +43,9 @@ VERDICT_PRESHEAF = "presheaf"
 
 _GRADE = {VERDICT_SHEAF: 2, VERDICT_SEPARATED: 1, VERDICT_PRESHEAF: 0}
 
+# covers with more leg-section tuples than this skip the diagram cross-check
+CROSSCHECK_THRESHOLD = 4096
+
 
 def is_compatible(f: Presheaf, cover: CoverFamily, sections) -> bool:
     """Do the sections agree on every pairwise overlap?"""
@@ -159,7 +162,7 @@ def _glue_buckets(f: Presheaf, cover: CoverFamily) -> dict:
     return buckets
 
 
-def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome, threshold):
+def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome):
     """Build the literal equalizer diagram and compare verdicts."""
     site = f.site
     legs = cover.legs
@@ -167,7 +170,7 @@ def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome, threshold):
     prod = 1
     for s in leg_sizes:
         prod *= s
-    if prod > threshold or len(legs) > 8:
+    if prod > CROSSCHECK_THRESHOLD or len(legs) > 8:
         return False
     pairs = list(itertools.product(range(len(legs)), repeat=2))
     lefts, rights = [], []  # restrictions of legs i and j to their overlap
@@ -209,9 +212,7 @@ def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome, threshold):
     return True
 
 
-def check_sheaf_equalizer(
-    f: Presheaf, coverage: Coverage, crosscheck_threshold: int = 4096
-) -> SheafReport:
+def check_sheaf_equalizer(f: Presheaf, coverage: Coverage) -> SheafReport:
     """Count gluings of every compatible family of every assigned cover."""
     if f.site != coverage.site:
         raise SiteMismatch("presheaf and coverage live on different sites")
@@ -228,7 +229,7 @@ def check_sheaf_equalizer(
                 ambiguous += 1
         outcome = CoverOutcome(cover, len(families), unglued, ambiguous)
         report.outcomes.append(outcome)
-        if _diagram_crosscheck(f, cover, outcome, crosscheck_threshold):
+        if _diagram_crosscheck(f, cover, outcome):
             report.cross_checked += 1
         if _GRADE[outcome.verdict] < _GRADE[report.verdict]:
             report.verdict = outcome.verdict

@@ -464,6 +464,62 @@ class TestExitCodes:
         assert "equalizer=sheaf, orthogonal=presheaf" in defects[0]["witness"]
 
 
+# Coverage and presheaf files of the wrong shape: each must be reported as
+# malformed input, not crash a parser or checker nor be read another way.
+MALFORMED_COVERAGES = {
+    "mult-cap-not-integer": {"covers": [], "mult_cap": "two"},
+    "covers-of-strings": {"covers": ["h"]},
+    "covers-an-object": {"covers": {"h": [{"dom": "h"}]}},
+    "target-a-list": {"covers": [{"target": ["h"], "legs": []}]},
+    "legs-a-string": {"covers": [{"target": "h", "legs": "0"}]},
+}
+
+_LUK3_RES = {"0<=h": {}, "0<=1": {}, "h<=1": {}}
+MALFORMED_PRESHEAVES = {
+    "at-a-list": {"at": [["0", []]], "res": {}},
+    "value-set-a-string": {"at": {"0": "ab", "h": [], "1": []}, "res": _LUK3_RES},
+    "res-table-of-pairs": {
+        "at": {"0": ["a"], "h": ["a"], "1": ["a"]},
+        "res": {"0<=h": [["a", "a"]], "0<=1": {"a": "a"}, "h<=1": {"a": "a"}},
+    },
+    "integer-labels": {"at": {"0": [1], "h": [], "1": []}, "res": _LUK3_RES},
+}
+
+
+def _run_malformed(tmp_path, argv, files):
+    files = {"s.json": corpus("site_luk3.json"), **files}
+    stage(tmp_path, Case("", files, [], 0))
+    report_path = tmp_path / "r.json"
+    code = main(
+        [argv[0]] + [str(tmp_path / a) for a in argv[1:]]
+        + ["--json", str(report_path)]
+    )
+    return code, json.loads(report_path.read_text())["verdicts"]
+
+
+class TestMalformedShapes:
+    @pytest.mark.parametrize("raw", MALFORMED_COVERAGES.values(), ids=MALFORMED_COVERAGES)
+    def test_coverage_shape_is_malformed(self, raw, tmp_path):
+        code, verdicts = _run_malformed(
+            tmp_path, ["check-prelopology", "s.json", "c.json"], {"c.json": raw}
+        )
+        assert code == 2
+        assert [(v["check"], v["ok"]) for v in verdicts] == [
+            ("well-formed-coverage", False)
+        ]
+
+    @pytest.mark.parametrize("raw", MALFORMED_PRESHEAVES.values(), ids=MALFORMED_PRESHEAVES)
+    def test_presheaf_shape_is_malformed(self, raw, tmp_path):
+        files = {"c.json": corpus("coverage_canonical.json"), "p.json": raw}
+        code, verdicts = _run_malformed(
+            tmp_path, ["check-sheaf", "s.json", "c.json", "p.json"], files
+        )
+        assert code == 2
+        assert [(v["check"], v["ok"]) for v in verdicts] == [
+            ("well-formed-presheaf", False)
+        ]
+
+
 # ---------------------------------------------------------------------------
 # determinism of the report bytes
 

@@ -2,12 +2,19 @@
 
 import pytest
 
+from qsheaf.coverage import (
+    CoverFamily,
+    canonical_quantale_coverage,
+    check_strong_prelopology,
+)
 from qsheaf.finset import FinMap
 from qsheaf.moncat import (
     FinSetCategory,
     Mor,
     ProductCategory,
     ThinCategory,
+    canon,
+    coherence,
     trivial_equalizer,
     verify_appendix_suite,
     verify_monoidal_laws,
@@ -290,3 +297,80 @@ def test_appendix_suite_all_bundled_quantales(name, n):
     site = ThinCategory.from_quantale(build_standard(name, n))
     report = verify_appendix_suite(site)
     assert report.ok, report.summary()
+
+
+def mistyped_associator(c, x, y, z):
+    # the identity of (x(x)y)(x)z, not a map into x(x)(y(x)z): composing
+    # it with anything typed by the real associator raises
+    return c.identity(c.tensor_obj(c.tensor_obj(x, y), z))
+
+
+# (name, ok, checked, witness) of every entry on FinSetCategory(max_size=2)
+# with the mistyped associator: an exception inside a law is that law's
+# failing instance, counted after the instances that held.
+_COMPOSE_RAISES = "exception: cannot compose {(s0,(s0,s0))} after {((s0,s0),s0)}"
+RECORDED_EXCEPTION_ENTRIES = {
+    verify_appendix_suite: [
+        ("braid-projections-1", True, 9, None),
+        ("braid-projections-2", True, 9, None),
+        ("braid-unitors", True, 6, None),
+        ("pentagon", False, 41,
+         "exception: cannot compose {((s0,(s0,s0)),s0)} after {(((s0,s0),s0),s0)}"),
+        ("ppb-equalizing", False, 74, _COMPOSE_RAISES),
+        ("ppb-tensor-compare", False, 74, _COMPOSE_RAISES),
+        ("proj-assoc-left", False, 14, _COMPOSE_RAISES),
+        ("proj-assoc-right", False, 14, _COMPOSE_RAISES),
+        ("proj-middle-deletion", False, 14, _COMPOSE_RAISES),
+        ("proj-tensor-factor-1", False, 14, _COMPOSE_RAISES),
+        ("proj-tensor-factor-2", True, 27, None),
+        ("triangle", False, 5,
+         "exception: cannot compose {(s0,(*,s0))} after {((s0,*),s0)}"),
+        ("unit-terminal", True, 3, None),
+        ("unitor-associator-left", False, 5,
+         "exception: cannot compose {(*,(s0,s0))} after {((*,s0),s0)}"),
+        ("unitor-associator-right", False, 5,
+         "exception: cannot compose {(s0,(s0,*))} after {((s0,s0),*)}"),
+    ],
+    verify_monoidal_laws: [
+        ("compose-assoc", True, 211, None),
+        ("compose-identity", True, 22, None),
+        ("pentagon", False, 41,
+         "exception: cannot compose {((s0,(s0,s0)),s0)} after {(((s0,s0),s0),s0)}"),
+        ("triangle", False, 5,
+         "exception: cannot compose {(s0,(*,s0))} after {((s0,*),s0)}"),
+        ("unit-terminal", True, 3, None),
+        ("braid-symmetry", True, 9, None),
+        ("braid-hexagon", False, 14, _COMPOSE_RAISES),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "suite", RECORDED_EXCEPTION_ENTRIES, ids=lambda suite: suite.__name__
+)
+def test_exceptions_become_recorded_failures(suite):
+    c = FinSetCategory(max_size=2, associator_fn=mistyped_associator)
+    report = suite(c)
+    assert [
+        (e.name, e.ok, e.checked, e.witness) for e in report.entries
+    ] == RECORDED_EXCEPTION_ENTRIES[suite]
+
+
+def test_passing_checks_format_no_witness(monkeypatch):
+    calls = []
+
+    def counting_canon(obj):
+        calls.append(obj)
+        return canon(obj)
+
+    monkeypatch.setattr(coherence, "canon", counting_canon)
+    report = verify_appendix_suite(luk3_site())
+    assert report.ok, report.summary()
+    assert calls == []
+
+    def no_repr(self):
+        raise AssertionError("a passing axiom formatted a cover")
+
+    monkeypatch.setattr(CoverFamily, "__repr__", no_repr)
+    cov = canonical_quantale_coverage(build_standard("truncated_nat", 3))
+    assert check_strong_prelopology(cov).ok

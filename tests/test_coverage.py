@@ -134,7 +134,7 @@ class TestFlavorCheckers:
         _, _, cov = make("lukasiewicz_chain", 3)
         report = check_strong_prelopology(cov)
         assert report.ok, report.summary()
-        by_name = {e.axiom: e.checked for e in report.entries}
+        by_name = {e.name: e.checked for e in report.entries}
         assert by_name == {
             "iso-singletons": 3,
             "composition": 729,
@@ -142,6 +142,10 @@ class TestFlavorCheckers:
             "ppb-stability": 138,
             "projection-factorizations": 78,
         }
+        assert report.summary().splitlines()[:2] == [
+            "coverage flavor check: strong_prelopology",
+            "  pass iso-singletons (3 instances)",
+        ]
 
     def test_canonical_is_strong_prelopology_everywhere(self):
         for name, param in [
@@ -178,7 +182,7 @@ class TestFlavorCheckers:
 
     def test_flavor_dispatch(self):
         _, _, cov = make("lukasiewicz_chain", 3)
-        assert check_flavor(cov).flavor == "strong_prelopology"
+        assert check_flavor(cov).heading == "coverage flavor check: strong_prelopology"
         assert check_flavor(cov, "weak_prelopology").ok
         with pytest.raises(InvalidSpec):
             check_flavor(cov, "lopology")
@@ -190,21 +194,21 @@ class TestMutationDetection:
         mutant = cov.without_family(family(site, ["0", "h"], "h"))
         report = check_prelopology(mutant)
         assert not report.ok
-        comp = next(e for e in report.entries if e.axiom == "composition")
+        comp = next(e for e in report.entries if e.name == "composition")
         assert not comp.ok and comp.witness
 
     def test_missing_identity_breaks_iso_singletons(self):
         q, site, cov = make("lukasiewicz_chain", 3)
         mutant = cov.without_family(family(site, ["0"], "0"))
         report = check_weak_prelopology(mutant)
-        iso = next(e for e in report.entries if e.axiom == "iso-singletons")
+        iso = next(e for e in report.entries if e.name == "iso-singletons")
         assert not iso.ok and "0" in iso.witness
 
     def test_added_undercover_breaks_composition(self):
         q, site, cov = make("lukasiewicz_chain", 3)
         mutant = cov.with_family(family(site, ["h"], "1"))
         report = check_prelopology(mutant)
-        comp = next(e for e in report.entries if e.axiom == "composition")
+        comp = next(e for e in report.entries if e.name == "composition")
         assert not comp.ok
 
     def test_dropping_empty_cover_stays_lawful(self):
@@ -218,10 +222,10 @@ class TestMutationDetection:
         q, site, cov = make("powerset_locale", 2)
         mutant = cov.without_family(family(site, ["{}", "{x}"], "{x}"))
         pre = check_prelopology(mutant)
-        ppb = next(e for e in pre.entries if e.axiom == "ppb-stability")
+        ppb = next(e for e in pre.entries if e.name == "ppb-stability")
         assert not ppb.ok
         top = check_pretopology(mutant)
-        pull = next(e for e in top.entries if e.axiom == "pullback-stability")
+        pull = next(e for e in top.entries if e.name == "pullback-stability")
         assert not pull.ok
 
     def test_checker_agreement_battery(self):

@@ -1,0 +1,44 @@
+"""Every name a qsheaf module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qsheaf
+
+PACKAGE = Path(qsheaf.__file__).parent
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+
+
+def unused_imports(tree) -> list:
+    """Imported names never read in the module; `__all__` entries count as read."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_guard_sees_an_unused_import():
+    source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
+    tree = ast.parse(source)
+    assert unused_imports(tree) == ["field (line 1)"]
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text())) == []

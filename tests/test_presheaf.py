@@ -136,7 +136,7 @@ class TestPresheafStructure:
             },
         })
         assert not report.ok
-        comp = next(e for e in report.entries if e.kind == "composition")
+        comp = next(e for e in report.entries if e.name == "composition")
         assert not comp.ok and comp.witness
 
     def test_validation_reports_structure_errors(self):

@@ -105,6 +105,8 @@ class TestSheafify:
         assert iso_presheaves(result.sheaf, yoneda(site, "h")) is not None
         report = certify_reflection(luk3_sep(site), result, cov)
         assert report.ok, report.summary()
+        # uncounted entries, no heading: no instance counts, no indent
+        assert report.summary().splitlines()[0] == "pass converged"
 
     def test_ambiguous_input_collapses_to_terminal(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qsheaf import sheaf
 from qsheaf.coverage import (
     CoverFamily,
     Coverage,
@@ -174,11 +175,10 @@ class TestVerdicts:
         assert report.verdict == VERDICT_SHEAF and report.ok
         assert report.cross_checked == 27
 
-    def test_crosscheck_threshold_zero_disables(self):
+    def test_crosscheck_threshold_zero_disables(self, monkeypatch):
         q, site, cov = site_of("lukasiewicz_chain", 3)
-        report = check_sheaf_equalizer(
-            terminal_presheaf(site), cov, crosscheck_threshold=0
-        )
+        monkeypatch.setattr(sheaf, "CROSSCHECK_THRESHOLD", 0)
+        report = check_sheaf_equalizer(terminal_presheaf(site), cov)
         assert report.ok and report.cross_checked == 0
 
     def test_separated_not_sheaf(self):
