@@ -262,7 +262,9 @@ def _gen_ppb_equalizing(c, objs, also_compare):
 
     When `also_compare` is set, additionally factor that composite
     through the tensored base equalizer, certifying the comparison
-    morphism that tensor-preservation promises.
+    morphism that tensor-preservation promises. The maps that depend on
+    `g` alone are built once per ``(x, a, b, cod)`` ahead of the `f`
+    loop, and only when that loop has an `f` to run.
     """
     for x in objs:
         id_x = c.identity(x)
@@ -280,21 +282,27 @@ def _gen_ppb_equalizing(c, objs, also_compare):
                 pi1_small = projection1(c, a, b)
                 pi2_small = projection2(c, a, b)
                 for cod in objs:
-                    homs_g = c.hom(b, cod)
-                    for f in c.hom(a, cod):
+                    homs_f = c.hom(a, cod)
+                    if not homs_f:
+                        continue
+                    # per g: g.pi2_small, (id_x (x) g).pi2_big, id_x (x) g.pi2_small
+                    g_side = []
+                    for g in c.hom(b, cod):
+                        big_right = c.compose(c.tensor_mor(id_x, g), pi2_big)
+                        g_small = c.compose(g, pi2_small)
+                        g_side.append(
+                            (g_small, big_right, c.tensor_mor(id_x, g_small))
+                        )
+                    for f in homs_f:
                         xf = c.tensor_mor(id_x, f)
                         big_left = c.compose(xf, pi1_big)
                         f_small = c.compose(f, pi1_small)
                         x_f_small = c.tensor_mor(id_x, f_small)
-                        for g in homs_g:
-                            xg = c.tensor_mor(id_x, g)
-                            _, e_big = c.equalizer(
-                                big_left, c.compose(xg, pi2_big)
-                            )
+                        for g_small, big_right, x_g_small in g_side:
+                            _, e_big = c.equalizer(big_left, big_right)
                             m = c.compose(mid, e_big)
                             lhs = c.compose(x_f_small, m)
-                            g_small = c.compose(g, pi2_small)
-                            rhs = c.compose(c.tensor_mor(id_x, g_small), m)
+                            rhs = c.compose(x_g_small, m)
                             if lhs != rhs:
                                 yield f"{_ppb_tag(x, a, b, cod)}: {_first_diff(lhs, rhs)}"
                                 continue

@@ -53,20 +53,25 @@ def _data_key(data):
 
 
 class Mor:
-    """A morphism handle: domain, codomain, instance-specific payload."""
+    """A morphism handle: domain, codomain, instance-specific payload.
 
-    __slots__ = ("dom", "cod", "data")
+    The hash is computed at first use and kept, so a `Mor` that keys an
+    instance's tables hashes its payload once.
+    """
+
+    __slots__ = ("dom", "cod", "data", "_hash")
 
     def __init__(self, dom, cod, data=None):
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mor is immutable")
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, Mor)
             and self.dom == other.dom
             and self.cod == other.cod
@@ -74,7 +79,11 @@ class Mor:
         )
 
     def __hash__(self):
-        return hash((self.dom, self.cod, self.data))
+        h = self._hash
+        if h is None:
+            h = hash((self.dom, self.cod, self.data))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def key(self):
         return (canon(self.dom), canon(self.cod), _data_key(self.data))
@@ -391,10 +400,18 @@ class FinSetCategory(MonoidalCategory):
     """Finite sets and all maps, tensor = cartesian product.
 
     Generator objects are the canonical sets of sizes 0..max_size; the
-    operations are total on arbitrary FinSetObj. Each tensor object
-    `a (x) b` is built once per instance and then reused. Structure
-    morphisms are taken from the constructor so broken ones can be
-    injected.
+    operations are total on arbitrary FinSetObj. The instance keeps two
+    tables, filled at first use:
+
+    - `_tensors`: one tensor object `a (x) b` per ``(a, b)``;
+    - `_maps`: one structure map per ``(kind, objects)``, for the
+      identities, the maps to the unit, both unitors, and the default
+      associator and braiding.
+
+    Composites and tensored maps are built on every call. Structure
+    morphisms can be injected through the constructor, so broken
+    instances can be built for mutation testing; an injected `*_fn` is
+    called on every use and never enters `_maps`.
     """
 
     is_cartesian = True
@@ -413,6 +430,24 @@ class FinSetCategory(MonoidalCategory):
         self._right_unitor_fn = right_unitor_fn
         self._equalizer_fn = equalizer_fn
         self._tensors = {}  # (a, b) -> a (x) b, built at first use
+        self._maps = {}  # (kind, objects) -> structure map, built at first use
+
+    def _structure(self, kind, objs, build):
+        """The default structure map `kind` at `objs`, from `_maps`.
+
+        `build` gives ``(dom, cod, assignment)``. The kept map is keyed and
+        valued by the label strings of `dom` and `cod` themselves, so the
+        table holds no copies of them.
+        """
+        key = (kind, objs)
+        mor = self._maps.get(key)
+        if mor is None:
+            dom, cod, assignment = build(*objs)
+            own = {y: y for y in cod}
+            mor = self._maps[key] = Mor(
+                dom, cod, FinMap(dom, cod, {x: own[assignment[x]] for x in dom})
+            )
+        return mor
 
     def objects(self):
         return list(self._objects)
@@ -421,7 +456,10 @@ class FinSetCategory(MonoidalCategory):
         return [Mor(a, b, m) for m in finset.all_maps(a, b)]
 
     def identity(self, a):
-        return Mor(a, a, finset.identity(a))
+        return self._structure("identity", (a,), self._build_identity)
+
+    def _build_identity(self, a):
+        return a, a, {x: x for x in a}
 
     def compose(self, g, f):
         self._check_composable(g, f)
@@ -448,6 +486,9 @@ class FinSetCategory(MonoidalCategory):
     def associator(self, x, y, z):
         if self._associator_fn is not None:
             return self._associator_fn(self, x, y, z)
+        return self._structure("associator", (x, y, z), self._build_associator)
+
+    def _build_associator(self, x, y, z):
         dom = self.tensor_obj(self.tensor_obj(x, y), z)
         cod = self.tensor_obj(x, self.tensor_obj(y, z))
         assignment = {}
@@ -457,34 +498,44 @@ class FinSetCategory(MonoidalCategory):
                     assignment[
                         finset.pair_label(finset.pair_label(p, q), r)
                     ] = finset.pair_label(p, finset.pair_label(q, r))
-        return Mor(dom, cod, FinMap(dom, cod, assignment))
+        return dom, cod, assignment
 
     def braiding(self, a, b):
         if self._braiding_fn is not None:
             return self._braiding_fn(self, a, b)
+        return self._structure("braiding", (a, b), self._build_braiding)
+
+    def _build_braiding(self, a, b):
         dom = self.tensor_obj(a, b)
         cod = self.tensor_obj(b, a)
         assignment = {
             finset.pair_label(x, y): finset.pair_label(y, x) for x in a for y in b
         }
-        return Mor(dom, cod, FinMap(dom, cod, assignment))
+        return dom, cod, assignment
 
     def left_unitor(self, a):
         if self._left_unitor_fn is not None:
             return self._left_unitor_fn(self, a)
+        return self._structure("left_unitor", (a,), self._build_left_unitor)
+
+    def _build_left_unitor(self, a):
         dom = self.tensor_obj(self.unit, a)
-        assignment = {finset.pair_label("*", x): x for x in a}
-        return Mor(dom, a, FinMap(dom, a, assignment))
+        return dom, a, {finset.pair_label("*", x): x for x in a}
 
     def right_unitor(self, a):
         if self._right_unitor_fn is not None:
             return self._right_unitor_fn(self, a)
+        return self._structure("right_unitor", (a,), self._build_right_unitor)
+
+    def _build_right_unitor(self, a):
         dom = self.tensor_obj(a, self.unit)
-        assignment = {finset.pair_label(x, "*"): x for x in a}
-        return Mor(dom, a, FinMap(dom, a, assignment))
+        return dom, a, {finset.pair_label(x, "*"): x for x in a}
 
     def terminal(self, x):
-        return Mor(x, self.unit, FinMap(x, self.unit, {p: "*" for p in x}))
+        return self._structure("terminal", (x,), self._build_terminal)
+
+    def _build_terminal(self, x):
+        return x, self.unit, {p: "*" for p in x}
 
     def equalizer(self, f, g):
         self._check_parallel(f, g)
@@ -542,7 +593,18 @@ class FinSetCategory(MonoidalCategory):
 
 
 class ProductCategory(MonoidalCategory):
-    """The product of two instances; everything is componentwise."""
+    """The product of two instances; everything is componentwise.
+
+    The instance keeps three tables, filled at first use:
+
+    - `_pairs`: one pair `Mor` per pair of component morphisms; every
+      morphism the instance returns comes from it;
+    - `_composites`: ``g . f`` per pair ``(g, f)`` of pair morphisms;
+    - `_tensor_mors`: ``f (x) g`` per pair ``(f, g)``.
+
+    Structure maps are paired from the components on every call, so a
+    component's injected structure map is still called on every use.
+    """
 
     def __init__(self, c1: MonoidalCategory, c2: MonoidalCategory):
         self.c1 = c1
@@ -551,12 +613,19 @@ class ProductCategory(MonoidalCategory):
         self.is_cartesian = c1.is_cartesian and c2.is_cartesian
         if c1.unit_obj is not None and c2.unit_obj is not None:
             self.unit_obj = (c1.unit, c2.unit)
+        self._pairs = {}  # (m1, m2) -> the pair Mor with those components
+        self._composites = {}  # (g, f) -> g . f
+        self._tensor_mors = {}  # (f, g) -> f (x) g
 
     def objects(self):
         return [(a, b) for a in self.c1.objects() for b in self.c2.objects()]
 
     def _pair(self, m1, m2):
-        return Mor((m1.dom, m2.dom), (m1.cod, m2.cod), (m1, m2))
+        key = (m1, m2)
+        mor = self._pairs.get(key)
+        if mor is None:
+            mor = self._pairs[key] = Mor((m1.dom, m2.dom), (m1.cod, m2.cod), key)
+        return mor
 
     def hom(self, a, b):
         return [
@@ -569,20 +638,28 @@ class ProductCategory(MonoidalCategory):
         return self._pair(self.c1.identity(a[0]), self.c2.identity(a[1]))
 
     def compose(self, g, f):
-        self._check_composable(g, f)
-        return self._pair(
-            self.c1.compose(g.data[0], f.data[0]),
-            self.c2.compose(g.data[1], f.data[1]),
-        )
+        key = (g, f)
+        mor = self._composites.get(key)
+        if mor is None:
+            self._check_composable(g, f)
+            mor = self._composites[key] = self._pair(
+                self.c1.compose(g.data[0], f.data[0]),
+                self.c2.compose(g.data[1], f.data[1]),
+            )
+        return mor
 
     def tensor_obj(self, a, b):
         return (self.c1.tensor_obj(a[0], b[0]), self.c2.tensor_obj(a[1], b[1]))
 
     def tensor_mor(self, f, g):
-        return self._pair(
-            self.c1.tensor_mor(f.data[0], g.data[0]),
-            self.c2.tensor_mor(f.data[1], g.data[1]),
-        )
+        key = (f, g)
+        mor = self._tensor_mors.get(key)
+        if mor is None:
+            mor = self._tensor_mors[key] = self._pair(
+                self.c1.tensor_mor(f.data[0], g.data[0]),
+                self.c2.tensor_mor(f.data[1], g.data[1]),
+            )
+        return mor
 
     def associator(self, x, y, z):
         return self._pair(

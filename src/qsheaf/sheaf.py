@@ -35,8 +35,6 @@ from .presheaf import (
     yoneda,
 )
 
-_SEP = "\x1f"
-
 VERDICT_SHEAF = "sheaf"
 VERDICT_SEPARATED = "separated"
 VERDICT_PRESHEAF = "presheaf"
@@ -176,27 +174,32 @@ def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome):
     lefts, rights = [], []  # restrictions of legs i and j to their overlap
     for i, j in pairs:
         w = site.overlap(legs[i], legs[j])
-        lefts.append((i, f.restrict(w, legs[i].dom)))
-        rights.append((j, f.restrict(w, legs[j].dom)))
+        lefts.append((i, f.restrict(w, legs[i].dom).assignment))
+        rights.append((j, f.restrict(w, legs[j].dom).assignment))
+    # A tuple of leg sections is labelled by its position in `tuples`, and
+    # a tuple of overlap sections by its position of first appearance, so
+    # the diagram's labels are integers whatever the presheaf's labels.
     tuples = list(itertools.product(*(f.value(leg.dom) for leg in legs)))
-    leg_obj = FinSetObj([_SEP.join(t) for t in tuples])
+    leg_obj = FinSetObj(range(len(tuples)))
+    overlap_ids = {}
     first_table, second_table = {}, {}
-    pair_labels = []
-    for t in tuples:
-        key = _SEP.join(t)
-        first_table[key] = _SEP.join(m(t[i]) for i, m in lefts)
-        second_table[key] = _SEP.join(m(t[j]) for j, m in rights)
-        pair_labels.extend([first_table[key], second_table[key]])
-    pair_obj = FinSetObj(sorted(set(pair_labels), key=label_key))
+    for k, t in enumerate(tuples):
+        first_table[k] = overlap_ids.setdefault(
+            tuple([m[t[i]] for i, m in lefts]), len(overlap_ids)
+        )
+        second_table[k] = overlap_ids.setdefault(
+            tuple([m[t[j]] for j, m in rights]), len(overlap_ids)
+        )
+    pair_obj = FinSetObj(range(len(overlap_ids)))
     first = FinMap(leg_obj, pair_obj, first_table)
     second = FinMap(leg_obj, pair_obj, second_table)
     sub, _ = finset.equalizer(first, second)
     target = cover.target
-    maps = [f.restrict(leg.dom, target) for leg in legs]
-    e_table = {z: _SEP.join(m(z) for m in maps) for z in f.value(target)}
-    image = set(e_table.values())
-    injective = len(image) == len(e_table)
-    onto = image == set(sub.elements)
+    maps = [f.restrict(leg.dom, target).assignment for leg in legs]
+    sections = [tuple([m[z] for m in maps]) for z in f.value(target)]
+    image = set(sections)
+    injective = len(image) == len(sections)
+    onto = image == {tuples[k] for k in sub}
     diagram_verdict = (
         VERDICT_SHEAF
         if injective and onto

@@ -196,6 +196,18 @@ CASES = [
         0,
     ),
     Case(
+        "verify_appendix_finset_bound3",
+        {},
+        ["verify-appendix", "--instance", "finset", "--size-bound", "3"],
+        0,
+    ),
+    Case(
+        "verify_appendix_product_default",
+        {},
+        ["verify-appendix", "--instance", "product"],
+        0,
+    ),
+    Case(
         "lopos_m3",
         {"q.json": m3_with_meet()},
         ["lopos-check", "q.json"],
@@ -483,6 +495,13 @@ MALFORMED_PRESHEAVES = {
         "res": {"0<=h": [["a", "a"]], "0<=1": {"a": "a"}, "h<=1": {"a": "a"}},
     },
     "integer-labels": {"at": {"0": [1], "h": [], "1": []}, "res": _LUK3_RES},
+    "self-restriction-not-identity": {
+        "at": {"0": ["s"], "h": ["p", "q"], "1": []},
+        "res": {
+            "0<=h": {"p": "s", "q": "s"}, "0<=1": {}, "h<=1": {},
+            "h<=h": {"p": "q", "q": "p"},
+        },
+    },
 }
 
 

@@ -356,6 +356,135 @@ def test_exceptions_become_recorded_failures(suite):
     ] == RECORDED_EXCEPTION_ENTRIES[suite]
 
 
+def mistyped_left_unitor(c, a):
+    # the identity of 1(x)a instead of a map onto a
+    return c.identity(c.tensor_obj(c.unit, a))
+
+
+def mistyped_right_unitor(c, a):
+    return c.identity(c.tensor_obj(a, c.unit))
+
+
+# (name, ok, checked, witness) of every appendix entry on
+# FinSetCategory(max_size=2) with a mistyped unitor. The first projection
+# is built from the right unitor and the second from the left one, so
+# these pin where the pseudo-pullback laws raise when the work that
+# depends on one leg of the cospan is computed ahead of the other leg.
+RECORDED_UNITOR_EXCEPTION_ENTRIES = {
+    "left_unitor_fn": (mistyped_left_unitor, [
+        ("braid-projections-1", False, 4,
+         "({s0},{}): type mismatch: Mor({} -> {(*,s0)}) vs Mor({} -> {s0})"),
+        ("braid-projections-2", False, 2,
+         "({},{s0}): type mismatch: Mor({} -> {s0}) vs Mor({} -> {(*,s0)})"),
+        ("braid-unitors", False, 3,
+         "l.b_(a,1) at {s0}: type mismatch: Mor({(s0,*)} -> {(*,s0)}) vs Mor({(s0,*)} -> {s0})"),
+        ("pentagon", True, 81, None),
+        ("ppb-equalizing", False, 4,
+         "exception: cannot compose {s0} after {(*,s0)}"),
+        ("ppb-tensor-compare", False, 4,
+         "exception: cannot compose {s0} after {(*,s0)}"),
+        ("proj-assoc-left", True, 27, None),
+        ("proj-assoc-right", False, 5,
+         "({},{s0},{s0}): type mismatch: Mor({} -> {(*,(s0,s0))}) vs Mor({} -> {((*,s0),s0)})"),
+        ("proj-middle-deletion", False, 11,
+         "({s0},{},{s0}): type mismatch: Mor({} -> {(s0,(*,s0))}) vs Mor({} -> {(s0,s0)})"),
+        ("proj-tensor-factor-1", False, 14,
+         "exception: cannot compose {((s0,s0),s0)} after {((s0,s0),(*,s0))}"),
+        ("proj-tensor-factor-2", False, 14,
+         "exception: cannot compose {(s0,(s0,s0))} after {((*,s0),(s0,s0))}"),
+        ("triangle", False, 5,
+         "triangle({s0},{s0}): type mismatch: Mor({((s0,*),s0)} -> {(s0,(*,s0))}) vs Mor({((s0,*),s0)} -> {(s0,s0)})"),
+        ("unit-terminal", True, 3, None),
+        ("unitor-associator-left", False, 5,
+         "unitor-left({s0},{s0}): type mismatch: Mor({((*,s0),s0)} -> {(*,(s0,s0))}) vs Mor({((*,s0),s0)} -> {((*,s0),s0)})"),
+        ("unitor-associator-right", True, 9, None),
+    ]),
+    "right_unitor_fn": (mistyped_right_unitor, [
+        ("braid-projections-1", False, 4,
+         "({s0},{}): type mismatch: Mor({} -> {s0}) vs Mor({} -> {(s0,*)})"),
+        ("braid-projections-2", False, 2,
+         "({},{s0}): type mismatch: Mor({} -> {(s0,*)}) vs Mor({} -> {s0})"),
+        ("braid-unitors", False, 3,
+         "l.b_(a,1) at {s0}: type mismatch: Mor({(s0,*)} -> {s0}) vs Mor({(s0,*)} -> {(s0,*)})"),
+        ("pentagon", True, 81, None),
+        ("ppb-equalizing", False, 12,
+         "exception: cannot compose {s0} after {(s0,*)}"),
+        ("ppb-tensor-compare", False, 12,
+         "exception: cannot compose {s0} after {(s0,*)}"),
+        ("proj-assoc-left", False, 13,
+         "({s0},{s0},{}): type mismatch: Mor({} -> {(s0,(s0,*))}) vs Mor({} -> {((s0,s0),*)})"),
+        ("proj-assoc-right", True, 27, None),
+        ("proj-middle-deletion", False, 11,
+         "({s0},{},{s0}): type mismatch: Mor({} -> {(s0,s0)}) vs Mor({} -> {((s0,*),s0)})"),
+        ("proj-tensor-factor-1", False, 13,
+         "({s0},{s0},{}): type mismatch: Mor({} -> {((s0,s0),*)}) vs Mor({} -> {(s0,(s0,*))})"),
+        ("proj-tensor-factor-2", True, 27, None),
+        ("triangle", False, 5,
+         "triangle({s0},{s0}): type mismatch: Mor({((s0,*),s0)} -> {(s0,s0)}) vs Mor({((s0,*),s0)} -> {((s0,*),s0)})"),
+        ("unit-terminal", True, 3, None),
+        ("unitor-associator-left", True, 9, None),
+        ("unitor-associator-right", False, 5,
+         "unitor-right({s0},{s0}): type mismatch: Mor({((s0,s0),*)} -> {(s0,(s0,*))}) vs Mor({((s0,s0),*)} -> {((s0,s0),*)})"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("keyword", RECORDED_UNITOR_EXCEPTION_ENTRIES)
+def test_mistyped_unitor_exceptions_land_at_recorded_instances(keyword):
+    broken, expected = RECORDED_UNITOR_EXCEPTION_ENTRIES[keyword]
+    c = FinSetCategory(max_size=2, **{keyword: broken})
+    report = verify_appendix_suite(c)
+    assert [
+        (e.name, e.ok, e.checked, e.witness) for e in report.entries
+    ] == expected
+
+
+class TestStructureMapTables:
+    def test_structure_maps_are_built_once(self):
+        c = FinSetCategory(max_size=2)
+        a, b = c.objects()[1], c.objects()[2]
+        assert c.identity(a) is c.identity(a)
+        assert c.terminal(b) is c.terminal(b)
+        assert c.left_unitor(b) is c.left_unitor(b)
+        assert c.right_unitor(b) is c.right_unitor(b)
+        assert c.associator(a, b, a) is c.associator(a, b, a)
+        assert c.braiding(a, b) is c.braiding(a, b)
+        assert c.associator(a, b, a) is not c.associator(b, a, a)
+
+    def test_product_pairs_and_composites_are_shared(self):
+        inst = ProductCategory(FinSetCategory(max_size=2), luk3_site())
+        a, b = inst.objects()[4], inst.objects()[7]
+        f = inst.hom(a, b)[1]
+        assert inst.identity(a) is inst.identity(a)
+        assert inst.compose(f, inst.identity(a)) is inst.compose(f, inst.identity(a))
+        assert inst.tensor_mor(f, f) is inst.tensor_mor(f, f)
+        assert inst.compose(f, inst.identity(a)) == f
+
+    def test_injected_structure_maps_are_called_every_time(self):
+        lawful = FinSetCategory(max_size=2)
+        calls = {"associator": 0, "braiding": 0}
+
+        def counting_associator(c, x, y, z):
+            calls["associator"] += 1
+            return lawful.associator(x, y, z)
+
+        def counting_braiding(c, a, b):
+            calls["braiding"] += 1
+            return lawful.braiding(a, b)
+
+        c = FinSetCategory(max_size=2, associator_fn=counting_associator,
+                           braiding_fn=counting_braiding)
+        assert verify_appendix_suite(c, size_bound=2).ok
+        # the counts of the unmemoized suite
+        assert calls == {"associator": 594, "braiding": 25}
+        calls.update(associator=0, braiding=0)
+        assert verify_monoidal_laws(c).ok
+        assert calls == {"associator": 495, "braiding": 100}
+        calls.update(associator=0, braiding=0)
+        assert verify_appendix_suite(ProductCategory(c, luk3_site()), size_bound=1).ok
+        assert calls == {"associator": 7884, "braiding": 85}
+
+
 def test_passing_checks_format_no_witness(monkeypatch):
     calls = []
 

@@ -96,6 +96,15 @@ class TestPresheafStructure:
         p = sep_presheaf(site)
         assert p.restrict("h", "h") == finset.identity(p.value("h"))
 
+    def test_parse_checks_a_given_identity_table(self):
+        _, site = luk3_site()
+        raw = sep_presheaf(site).to_raw()
+        raw["res"]["h<=h"] = {"p": "p", "q": "q"}
+        assert parse_presheaf(site, raw) == sep_presheaf(site)
+        raw["res"]["h<=h"] = {"p": "q", "q": "p"}
+        with pytest.raises(InvalidSpec, match="must be the identity"):
+            parse_presheaf(site, raw)
+
     def test_raw_restriction_keys_omit_identities(self):
         _, site = luk3_site()
         raw = sep_presheaf(site).to_raw()

@@ -19,6 +19,7 @@ from qsheaf.errors import (
 )
 from qsheaf.moncat import ThinCategory
 from qsheaf.presheaf import (
+    Presheaf,
     iso_presheaves,
     parse_presheaf,
     terminal_presheaf,
@@ -180,6 +181,35 @@ class TestVerdicts:
         monkeypatch.setattr(sheaf, "CROSSCHECK_THRESHOLD", 0)
         report = check_sheaf_equalizer(terminal_presheaf(site), cov)
         assert report.ok and report.cross_checked == 0
+
+    @pytest.mark.parametrize(
+        "at,res",
+        [
+            ({"0": [1], "h": [], "1": []}, {"0<=h": {}, "0<=1": {}, "h<=1": {}}),
+            (
+                {"1": [], "h": [1, 2], "0": [3]},
+                {"0<=h": {1: 3, 2: 3}, "0<=1": {}, "h<=1": {}},
+            ),
+        ],
+        ids=["bottom-only", "separated"],
+    )
+    def test_integer_labels_cross_check_like_strings(self, at, res):
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+
+        def build(label):
+            return Presheaf(
+                site,
+                {u: [label(x) for x in xs] for u, xs in at.items()},
+                {
+                    tuple(k.split("<=")): {label(x): label(y) for x, y in t.items()}
+                    for k, t in res.items()
+                },
+            )
+
+        ints = check_sheaf_equalizer(build(int), cov)
+        strs = check_sheaf_equalizer(build(str), cov)
+        assert ints.cross_checked == strs.cross_checked > 0
+        assert ints.verdict == strs.verdict
 
     def test_separated_not_sheaf(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
