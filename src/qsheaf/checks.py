@@ -1,10 +1,13 @@
 """Check entries, check reports and the driver that fills them.
 
-Every exhaustive check in qsheaf (coverage axioms, coherence laws) is a
-generator over its instances, drained by `drain` into one `CheckEntry`.
-Checks whose instance counts are not reported (presheaf functoriality,
-the reflection certificate) build their entries directly and leave
-`checked` unset.
+Every exhaustive check in qsheaf (coverage axioms, coherence laws, the
+down-set criterion, the quantale laws) is a generator over its
+instances. `drain` turns one into a single counted `CheckEntry` that
+stops at the first failure; `collect` turns one into an uncounted
+failing entry per witness, which is how the quantale laws list every
+violation. Checks whose instance counts are not reported (presheaf
+functoriality, the reflection certificate, terminal preservation) build
+their entries directly and leave `checked` unset.
 """
 
 from __future__ import annotations
@@ -64,3 +67,8 @@ def drain(name: str, failures) -> CheckEntry:
         if witness is not None:
             return CheckEntry(name, False, checked, witness)
     return CheckEntry(name, True, checked)
+
+
+def collect(name: str, failures) -> list:
+    """Run a check generator to the end; one failing entry per witness, in order."""
+    return [CheckEntry(name, False, None, w) for w in failures if w is not None]

@@ -162,12 +162,13 @@ def _read_json(path: str, report: RunReport, role: str):
 def _quantale_or_fail(raw, report: RunReport, role: str) -> Quantale:
     try:
         outcome = validate_quantale(raw)
-    except (InvalidSpec, QsheafError) as exc:
+    except QsheafError as exc:
         report.add(f"well-formed-{role}", False, str(exc))
         raise _BadInput from exc
     if isinstance(outcome, Quantale):
         return outcome
-    report.add(f"quantale-laws-{role}", False, "; ".join(outcome.summary()))
+    witness = "; ".join(f"{e.name}: {e.witness}" for e in outcome.entries)
+    report.add(f"quantale-laws-{role}", False, witness)
     raise _BadInput
 
 
@@ -253,12 +254,11 @@ def _cmd_check_quantale(args, report: RunReport, rng) -> int:
     raw = _read_json(args.file, report, "quantale")
     try:
         outcome = validate_quantale(raw)
-    except (InvalidSpec, QsheafError) as exc:
+    except QsheafError as exc:
         report.add("well-formed", False, str(exc))
         return EXIT_INVALID
     if not isinstance(outcome, Quantale):
-        for v in outcome.violations:
-            report.add(type(v).__name__, False, v.describe())
+        report.add_entries(outcome.entries)
         return EXIT_FAIL
     report.add("quantale-laws", True)
     flags = classify_quantale(outcome)
@@ -419,18 +419,13 @@ def _cmd_verify_appendix(args, report: RunReport, rng) -> int:
 def _cmd_lopos_check(args, report: RunReport, rng) -> int:
     raw = _read_json(args.file, report, "order")
     try:
-        outcome = lopos_check(raw)
+        down_sets, entry = lopos_check(raw)
     except (InvalidSpec, MulNotAssociative) as exc:
         report.add(type(exc).__name__, False, str(exc))
         return EXIT_INVALID
-    report.configuration["down_sets"] = outcome.down_sets
-    report.add(
-        "down-set-joins",
-        outcome.ok,
-        None if outcome.ok else outcome.summary(),
-        checked=outcome.checked,
-    )
-    return EXIT_OK if outcome.ok else EXIT_FAIL
+    report.configuration["down_sets"] = down_sets
+    report.add_entries([entry])
+    return EXIT_OK if entry.ok else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

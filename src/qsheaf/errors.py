@@ -1,10 +1,11 @@
 """Shared exception types.
 
 Validation of mathematical laws never raises; law checkers return
-reports with witnesses. Exceptions are reserved for misuse: malformed
-input, mismatched domains, calling an operation on a site that does
-not support it. The one exception is `InternalDefect`, raised when two
-of the library's own independent computations disagree.
+`CheckReport` or `CheckEntry` values with witnesses (`qsheaf.checks`).
+Exceptions are reserved for misuse: malformed input, mismatched
+domains, calling an operation on a site that does not support it. The
+one exception is `InternalDefect`, raised when two of the library's own
+independent computations disagree.
 """
 
 

@@ -25,6 +25,7 @@ from .. import finset
 from ..errors import (
     CodomainMismatch,
     DomainMismatch,
+    InternalDefect,
     InvalidSpec,
     NotSemicartesian,
     QsheafError,
@@ -338,7 +339,8 @@ class ThinCategory(MonoidalCategory):
     def associator(self, x, y, z):
         lhs = self.tensor_obj(self.tensor_obj(x, y), z)
         rhs = self.tensor_obj(x, self.tensor_obj(y, z))
-        assert lhs == rhs
+        if lhs != rhs:
+            raise InternalDefect(f"tensor not associative at {canon((x, y, z))}")
         return self._mor(lhs, rhs)
 
     def left_unitor(self, a):

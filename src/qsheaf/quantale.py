@@ -5,85 +5,28 @@ A raw table is a dict {"elements": [...], "leq": [[a,b], ...],
 order; the reflexive-transitive closure is taken at parse time. The
 multiplication table must be total.
 
-`validate_quantale` either returns a `Quantale` or a `ValidationReport`
-listing every violated law with a witness. `classify_quantale` computes
-the derived flags. `build_standard` produces the bundled families.
+`validate_quantale` either returns a `Quantale` or a `CheckReport` with
+one failing entry per violated law instance, named after the law; each
+law is a check generator in the `qsheaf.checks` protocol.
+`classify_quantale` computes the derived flags. `build_standard`
+produces the bundled families.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InvalidSpec
-
-# ---------------------------------------------------------------------------
-# violations
+from .checks import CheckReport, collect
+from .errors import InternalDefect, InvalidSpec
 
 
-@dataclass(frozen=True)
-class NotAPoset:
-    a: str
-    b: str
-
-    def describe(self):
-        return f"antisymmetry fails: {self.a} <= {self.b} <= {self.a}"
-
-
-@dataclass(frozen=True)
-class NotComplete:
-    a: str
-    b: str
-
-    def describe(self):
-        if self.a == self.b:
-            return "no bottom element"
-        return f"pair ({self.a},{self.b}) has no least upper bound"
-
-
-@dataclass(frozen=True)
-class NotAssociative:
-    a: str
-    b: str
-    c: str
-
-    def describe(self):
-        return f"({self.a}*{self.b})*{self.c} != {self.a}*({self.b}*{self.c})"
-
-
-@dataclass(frozen=True)
-class NotDistributive:
-    a: str
-    subset: tuple
-    side: str
-
-    def describe(self):
-        s = "{" + ",".join(self.subset) + "}"
-        if self.side == "left":
-            return f"{self.a} * join{s} != join of pointwise products"
-        return f"join{s} * {self.a} != join of pointwise products"
-
-
-@dataclass(frozen=True)
-class UnitLawFails:
-    u: str
-    a: str
-
-    def describe(self):
-        return f"declared unit {self.u} does not absorb at {self.a}"
-
-
-@dataclass
-class ValidationReport:
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.violations
-
-    def summary(self):
-        return [f"{type(v).__name__}: {v.describe()}" for v in self.violations]
+def _least_upper_bound(elements, leq, items):
+    """The least of `elements` above every one of `items` under `leq`, or None."""
+    ubs = [u for u in elements if all((x, u) in leq for x in items)]
+    least = [u for u in ubs if all((u, v) in leq for v in ubs)]
+    return least[0] if least else None
 
 
 # ---------------------------------------------------------------------------
@@ -98,10 +41,11 @@ class Quantale:
         self._leq = frozenset(leq_pairs)
         self._mul = dict(mul)
         self.unit = unit
-        self._joins = {}
-        for a, b in itertools.product(self.elements, repeat=2):
-            self._joins[(a, b)] = self._lub(a, b)
-        self.bottom = self.join(())
+        self._joins = {
+            (a, b): _least_upper_bound(self.elements, self._leq, (a, b))
+            for a, b in itertools.product(self.elements, repeat=2)
+        }
+        self.bottom = _least_upper_bound(self.elements, self._leq, ())
         self.top = self.join(self.elements)
 
     def leq(self, a, b) -> bool:
@@ -110,21 +54,10 @@ class Quantale:
     def mul(self, a, b):
         return self._mul[(a, b)]
 
-    def _upper_bounds(self, items):
-        return [u for u in self.elements if all(self.leq(x, u) for x in items)]
-
-    def _lub(self, a, b):
-        ubs = self._upper_bounds((a, b))
-        least = [u for u in ubs if all(self.leq(u, v) for v in ubs)]
-        return least[0] if least else None
-
     def join(self, items):
         items = list(items)
         if not items:
-            bots = [
-                u for u in self.elements if all(self.leq(u, v) for v in self.elements)
-            ]
-            return bots[0]
+            return self.bottom
         out = items[0]
         for x in items[1:]:
             out = self._joins[(out, x)]
@@ -229,58 +162,72 @@ def parse_raw(raw: dict) -> dict:
     return {"elements": elements, "pairs": pairs, "mul": mul, "unit": unit}
 
 
-def validate_quantale(raw: dict):
-    """Check every law; return a Quantale or a ValidationReport."""
-    norm = parse_raw(raw)
-    elements, mul, unit = norm["elements"], norm["mul"], norm["unit"]
-    leq = _closure(elements, norm["pairs"])
-    report = ValidationReport()
-
+def _antisymmetry(elements, leq):
     for a, b in itertools.combinations(elements, 2):
-        if (a, b) in leq and (b, a) in leq:
-            report.violations.append(NotAPoset(a, b))
-    if report.violations:
-        return report
+        clash = (a, b) in leq and (b, a) in leq
+        yield f"antisymmetry fails: {a} <= {b} <= {a}" if clash else None
 
-    def lub(items):
-        ubs = [u for u in elements if all((x, u) in leq for x in items)]
-        least = [u for u in ubs if all((u, v) in leq for v in ubs)]
-        return least[0] if least else None
 
-    bottom = lub(())
-    if bottom is None:
-        report.violations.append(NotComplete(elements[0], elements[0]))
+def _completeness(elements, leq):
+    no_bottom = _least_upper_bound(elements, leq, ()) is None
+    yield "no bottom element" if no_bottom else None
     for a, b in itertools.combinations_with_replacement(elements, 2):
-        if lub((a, b)) is None:
-            report.violations.append(NotComplete(a, b))
-    if report.violations:
-        return report
+        missing = _least_upper_bound(elements, leq, (a, b)) is None
+        yield f"pair ({a},{b}) has no least upper bound" if missing else None
 
+
+def _associativity(elements, mul):
     for a, b, c in itertools.product(elements, repeat=3):
-        if mul[(mul[(a, b)], c)] != mul[(a, mul[(b, c)])]:
-            report.violations.append(NotAssociative(a, b, c))
+        holds = mul[(mul[(a, b)], c)] == mul[(a, mul[(b, c)])]
+        yield None if holds else f"({a}*{b})*{c} != {a}*({b}*{c})"
 
-    # both distributive laws, over every subset (the sites are tiny)
+
+def _distributivity(elements, leq, mul):
+    """Both distributive laws, left then right, over every subset (sites are tiny)."""
     for a in elements:
         for r in range(len(elements) + 1):
             for subs in itertools.combinations(elements, r):
-                j = lub(subs) if subs else bottom
-                left = mul[(a, j)]
-                right = mul[(j, a)]
-                lhs = lub([mul[(a, s)] for s in subs]) if subs else bottom
-                rhs = lub([mul[(s, a)] for s in subs]) if subs else bottom
-                if left != lhs:
-                    report.violations.append(NotDistributive(a, subs, "left"))
-                if right != rhs:
-                    report.violations.append(NotDistributive(a, subs, "right"))
+                j = _least_upper_bound(elements, leq, subs)
+                lhs = _least_upper_bound(elements, leq, [mul[(a, s)] for s in subs])
+                rhs = _least_upper_bound(elements, leq, [mul[(s, a)] for s in subs])
+                yield None if mul[(a, j)] == lhs else (
+                    f"{a} * join{{{','.join(subs)}}} != join of pointwise products")
+                yield None if mul[(j, a)] == rhs else (
+                    f"join{{{','.join(subs)}}} * {a} != join of pointwise products")
 
-    if unit is not None:
-        for a in elements:
-            if mul[(unit, a)] != a or mul[(a, unit)] != a:
-                report.violations.append(UnitLawFails(unit, a))
 
-    if report.violations:
-        return report
+def _unit_law(elements, mul, unit):
+    if unit is None:
+        return
+    for a in elements:
+        holds = mul[(unit, a)] == a and mul[(a, unit)] == a
+        yield None if holds else f"declared unit {unit} does not absorb at {a}"
+
+
+def validate_quantale(raw: dict):
+    """Check every law; return a Quantale or a CheckReport of the failures.
+
+    Three stages run in turn: the order (`NotAPoset`), its joins
+    (`NotComplete`), then the multiplication (`NotAssociative`,
+    `NotDistributive`, `UnitLawFails`). Each stage collects every failing
+    instance, and the first stage that fails ends the check.
+    """
+    norm = parse_raw(raw)
+    elements, mul, unit = norm["elements"], norm["mul"], norm["unit"]
+    leq = _closure(elements, norm["pairs"])
+    stages = [
+        [("NotAPoset", _antisymmetry(elements, leq))],
+        [("NotComplete", _completeness(elements, leq))],
+        [
+            ("NotAssociative", _associativity(elements, mul)),
+            ("NotDistributive", _distributivity(elements, leq, mul)),
+            ("UnitLawFails", _unit_law(elements, mul, unit)),
+        ],
+    ]
+    for stage in stages:
+        failures = [e for name, laws in stage for e in collect(name, laws)]
+        if failures:
+            return CheckReport(entries=failures)
     return Quantale(elements, leq, mul, unit)
 
 
@@ -296,9 +243,9 @@ def classify_quantale(q: Quantale) -> QuantaleFlags:
     unital = q.unit is not None
     integral = unital and q.unit == q.top
     locale = all(q.mul(a, b) == q.meet(a, b) for a, b in itertools.product(els, repeat=2))
-    if unital:
+    if unital and integral != semicartesian:
         # for unital quantales these two notions provably coincide
-        assert integral == semicartesian, "integral/semicartesian must agree"
+        raise InternalDefect("integral and semicartesian disagree on a unital quantale")
     return QuantaleFlags(
         commutative=commutative,
         idempotent=idempotent,
@@ -417,5 +364,6 @@ def build_standard(name: str, param: int) -> Quantale:
     if name not in STANDARD:
         raise InvalidSpec(f"unknown standard quantale {name!r}; know {sorted(STANDARD)}")
     out = validate_quantale(STANDARD[name](param))
-    assert isinstance(out, Quantale), f"bundled {name}({param}) failed validation"
+    if not isinstance(out, Quantale):
+        raise InternalDefect(f"bundled {name}({param}) failed validation")
     return out

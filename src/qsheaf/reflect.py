@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import finset
-from .checks import CheckEntry, CheckReport
+from .checks import CheckEntry, CheckReport, drain
 from .coverage import Coverage
 from .errors import (
     InternalDefect,
@@ -41,7 +41,7 @@ from .presheaf import (
     site_order,
     terminal_presheaf,
 )
-from .quantale import _closure, parse_raw
+from .quantale import _closure, _least_upper_bound, parse_raw
 from .sheaf import (
     VERDICT_SHEAF,
     _glue_buckets,
@@ -320,21 +320,20 @@ def sheaf_tensor(f: Presheaf, g: Presheaf, coverage: Coverage,
     return result.sheaf
 
 
-@dataclass
-class TerminalReport:
-    ok: bool
-    sizes: dict
-    converged: bool
+def preserves_terminal(coverage: Coverage, max_iter: int = 16) -> CheckEntry:
+    """Does reflecting the terminal presheaf leave it terminal?
 
-
-def preserves_terminal(coverage: Coverage, max_iter: int = 16) -> TerminalReport:
-    """Does reflecting the terminal presheaf change it?"""
-    t = terminal_presheaf(coverage.site)
-    result = sheafify(t, coverage, max_iter)
+    On failure the witness is the reflected section counts, or
+    "not converged" when forcing hit `max_iter`.
+    """
     site = coverage.site
+    result = sheafify(terminal_presheaf(site), coverage, max_iter)
+    if not result.converged:
+        return CheckEntry("terminal-preserved", False, witness="not converged")
     sizes = {site.name(u): len(result.sheaf.value(u)) for u in site.objects()}
-    ok = result.converged and all(n == 1 for n in sizes.values())
-    return TerminalReport(ok, sizes, result.converged)
+    if all(n == 1 for n in sizes.values()):
+        return CheckEntry("terminal-preserved", True)
+    return CheckEntry("terminal-preserved", False, witness=f"sizes {sizes}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,38 +562,18 @@ def star(
 # the down-set criterion
 
 
-@dataclass
-class LoposReport:
-    ok: bool
-    down_sets: int
-    checked: int
-    witness: dict | None = None
-
-    def summary(self) -> str:
-        if self.ok:
-            return (
-                f"pass: joins commute with the induced product on all "
-                f"{self.down_sets} down-sets ({self.checked} pairs)"
-            )
-        w = self.witness
-        return (
-            "FAIL: down-sets "
-            f"D={sorted(w['D'])} E={sorted(w['E'])}: "
-            f"sup(D.E)={w['lhs']} but sup(D).sup(E)={w['rhs']}"
-        )
-
-
 # the most elements whose down-sets (up to 2^16 subsets) are enumerated
 LOPOS_CAP = 16
 
 
-def lopos_check(raw: dict) -> LoposReport:
+def lopos_check(raw: dict) -> tuple:
     """Does the down-set algebra of a multiplicative poset stay lattice-like?
 
     Joins must commute with the product induced on down-sets. For a
     complete poset with an associative multiplication this holds exactly
     when the original data is a quantale, and a failure pins a concrete
-    witness pair of down-sets.
+    witness pair of down-sets. Returns the number of down-sets and the
+    drained `down-set-joins` entry, one instance per pair of down-sets.
     """
     norm = parse_raw(raw)
     elements, mul = norm["elements"], norm["mul"]
@@ -612,13 +591,12 @@ def lopos_check(raw: dict) -> LoposReport:
             )
 
     def sup(items):
-        ubs = [u for u in elements if all((x, u) in leq for x in items)]
-        least = [u for u in ubs if all((u, v) in leq for v in ubs)]
-        if not least:
+        least = _least_upper_bound(elements, leq, items)
+        if least is None:
             raise InvalidSpec(
                 f"poset lacks a least upper bound for {sorted(items)}"
             )
-        return least[0]
+        return least
 
     down_sets = []
     for mask in itertools.product([False, True], repeat=len(elements)):
@@ -639,22 +617,16 @@ def lopos_check(raw: dict) -> LoposReport:
             d for d in elements if any((d, e) in leq for e in items)
         )
 
-    checked = 0
-    for d_set, e_set in itertools.product(down_sets, repeat=2):
-        checked += 1
-        product = down_close(
-            {mul[(d, e)] for d in d_set for e in e_set}
-        )
-        lhs = sup(product)
-        rhs = mul[(sup(d_set), sup(e_set))]
-        if lhs != rhs:
-            return LoposReport(
-                False,
-                len(down_sets),
-                checked,
-                {"D": sorted(d_set), "E": sorted(e_set), "lhs": lhs, "rhs": rhs},
+    def pairs():
+        for d_set, e_set in itertools.product(down_sets, repeat=2):
+            lhs = sup(down_close({mul[(d, e)] for d in d_set for e in e_set}))
+            rhs = mul[(sup(d_set), sup(e_set))]
+            yield None if lhs == rhs else (
+                f"FAIL: down-sets D={sorted(d_set)} E={sorted(e_set)}: "
+                f"sup(D.E)={lhs} but sup(D).sup(E)={rhs}"
             )
-    return LoposReport(True, len(down_sets), checked)
+
+    return len(down_sets), drain("down-set-joins", pairs())
 
 
 def pointwise_pullback(phi1: PresheafMorphism, phi2: PresheafMorphism):

@@ -1,0 +1,47 @@
+"""The check driver: `drain` stops at the first failure, `collect` keeps all."""
+
+import pytest
+
+from qsheaf.checks import CheckEntry, collect, drain
+
+
+def instances(outcomes, seen):
+    """Yield each outcome in turn, logging every instance that was reached."""
+    for i, witness in enumerate(outcomes):
+        seen.append(i)
+        yield witness
+
+
+def test_drain_counts_the_failing_instance_and_stops_there():
+    seen = []
+    entry = drain("law", instances([None, None, "w2", "w3", None], seen))
+    assert entry == CheckEntry("law", False, 3, "w2")
+    assert seen == [0, 1, 2]
+
+
+def test_drain_counts_every_instance_that_holds():
+    assert drain("law", iter([None] * 4)) == CheckEntry("law", True, 4)
+
+
+def test_drain_lets_an_exception_propagate():
+    def broken():
+        yield None
+        raise ValueError("bad instance")
+
+    with pytest.raises(ValueError, match="bad instance"):
+        drain("law", broken())
+
+
+def test_collect_returns_every_witness_in_order_uncounted():
+    seen = []
+    entries = collect("law", instances([None, "w1", None, "w3", "w4"], seen))
+    assert entries == [
+        CheckEntry("law", False, None, "w1"),
+        CheckEntry("law", False, None, "w3"),
+        CheckEntry("law", False, None, "w4"),
+    ]
+    assert seen == [0, 1, 2, 3, 4]
+
+
+def test_collect_is_empty_when_every_instance_holds():
+    assert collect("law", iter([None, None])) == []

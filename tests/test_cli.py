@@ -13,7 +13,7 @@ import pytest
 import qsheaf
 from qsheaf.cli import corpus_dir, main
 from qsheaf.coverage import canonical_quantale_coverage
-from qsheaf.quantale import STANDARD, build_standard
+from qsheaf.quantale import STANDARD, build_standard, chain_locale
 
 GOLDEN = Path(__file__).parent / "golden"
 REGEN = os.environ.get("QSHEAF_REGEN") == "1"
@@ -211,6 +211,29 @@ CASES = [
         "lopos_m3",
         {"q.json": m3_with_meet()},
         ["lopos-check", "q.json"],
+        1,
+    ),
+    Case(
+        "check_prelopology_product_broken_factor",
+        {
+            "s.json": {
+                "product": {"left": chain_locale(2), "right": broken_mul_quantale()}
+            },
+            "c.json": corpus("coverage_canonical.json"),
+        },
+        ["check-prelopology", "s.json", "c.json"],
+        2,
+    ),
+    Case(
+        "check_quantale_incomplete",
+        {
+            "q.json": {
+                "elements": ["a", "b"],
+                "leq": [],
+                "mul": {"a,a": "a", "a,b": "a", "b,a": "a", "b,b": "b"},
+            }
+        },
+        ["check-quantale", "q.json"],
         1,
     ),
 ]

@@ -1,4 +1,8 @@
-"""Every name a qsheaf module imports is used in that module."""
+"""Source guards: every imported name is used, and no module asserts.
+
+An `assert` vanishes under `python -O`, and an `AssertionError` would
+reach the CLI as malformed input; internal checks raise `InternalDefect`.
+"""
 
 import ast
 from pathlib import Path
@@ -31,6 +35,11 @@ def unused_imports(tree) -> list:
                   if name not in used)
 
 
+def assert_lines(tree) -> list:
+    """Line numbers of the `assert` statements in a module."""
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+
+
 def test_guard_sees_an_unused_import():
     source = "from dataclasses import dataclass, field\n\n@dataclass\nclass A:\n    x: int\n"
     tree = ast.parse(source)
@@ -42,3 +51,15 @@ def test_guard_sees_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_guard_sees_an_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
+    assert assert_lines(ast.parse(source)) == [3]
+
+
+@pytest.mark.parametrize(
+    "path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE))
+)
+def test_no_asserts(path):
+    assert assert_lines(ast.parse(path.read_text())) == []

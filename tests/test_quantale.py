@@ -15,16 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsheaf import quantale as qt
-from qsheaf.errors import InvalidSpec
-from qsheaf.quantale import (
-    NotAPoset,
-    NotAssociative,
-    NotComplete,
-    NotDistributive,
-    Quantale,
-    UnitLawFails,
-    ValidationReport,
-)
+from qsheaf.checks import CheckReport
+from qsheaf.errors import InternalDefect, InvalidSpec
+from qsheaf.quantale import Quantale
 
 
 def build(raw):
@@ -161,8 +154,8 @@ def test_validation_witnesses():
     bad = dict(chain)
     bad["leq"] = chain["leq"] + [["2", "0"]]
     rep = qt.validate_quantale(bad)
-    assert isinstance(rep, ValidationReport) and not rep.ok
-    assert any(isinstance(v, NotAPoset) for v in rep.violations)
+    assert isinstance(rep, CheckReport) and not rep.ok
+    assert any(e.name == "NotAPoset" for e in rep.failures())
 
     incomparable = {
         "elements": ["a", "b"],
@@ -170,22 +163,22 @@ def test_validation_witnesses():
         "mul": {"a,a": "a", "a,b": "a", "b,a": "a", "b,b": "b"},
     }
     rep = qt.validate_quantale(incomparable)
-    assert any(isinstance(v, NotComplete) for v in rep.violations)
+    assert any(e.name == "NotComplete" for e in rep.failures())
 
     bad = dict(chain)
     bad["mul"] = dict(chain["mul"])
     bad["mul"]["1,1"] = "2"  # min broken: (1*1)*0 vs 1*(1*0) both fine, but laws break
     rep = qt.validate_quantale(bad)
-    assert isinstance(rep, ValidationReport)
-    kinds = {type(v) for v in rep.violations}
-    assert kinds & {NotAssociative, NotDistributive, UnitLawFails}
+    assert isinstance(rep, CheckReport)
+    kinds = {e.name for e in rep.failures()}
+    assert kinds & {"NotAssociative", "NotDistributive", "UnitLawFails"}
 
     bad = dict(chain)
     bad["unit"] = "0"
     rep = qt.validate_quantale(bad)
-    assert any(isinstance(v, UnitLawFails) for v in rep.violations)
-    witness = [v for v in rep.violations if isinstance(v, UnitLawFails)][0]
-    assert witness.u == "0"
+    assert any(e.name == "UnitLawFails" for e in rep.failures())
+    witness = [e for e in rep.failures() if e.name == "UnitLawFails"][0]
+    assert witness.witness == "declared unit 0 does not absorb at 1"
 
 
 def test_distributivity_witness_subset():
@@ -198,11 +191,11 @@ def test_distributivity_witness_subset():
         },
     }
     rep = qt.validate_quantale(raw)
-    assert isinstance(rep, ValidationReport)
-    dist = [v for v in rep.violations if isinstance(v, NotDistributive)]
-    assert dist and all(isinstance(v.subset, tuple) for v in dist)
+    assert isinstance(rep, CheckReport)
+    dist = [e for e in rep.failures() if e.name == "NotDistributive"]
+    assert dist and all("join{" in e.witness for e in dist)
     # the empty-join (bottom) case must be among the witnesses
-    assert any(v.subset == () for v in dist)
+    assert any("join{}" in e.witness for e in dist)
 
 
 def test_structural_errors_raise():
@@ -218,6 +211,18 @@ def test_structural_errors_raise():
         )
     with pytest.raises(InvalidSpec):
         qt.build_standard("nope", 3)
+
+
+def test_classify_raises_internal_defect_when_integral_and_semicartesian_disagree():
+    # built directly, past validation: 0*0 = 1 is not below 0, yet unit = top
+    q = Quantale(
+        ["0", "1"],
+        {("0", "0"), ("0", "1"), ("1", "1")},
+        {("0", "0"): "1", ("0", "1"): "0", ("1", "0"): "0", ("1", "1"): "1"},
+        unit="1",
+    )
+    with pytest.raises(InternalDefect):
+        qt.classify_quantale(q)
 
 
 def test_roundtrip_raw():
@@ -253,8 +258,8 @@ def test_single_cell_mutations_are_caught_or_lawful(bundle, data):
     out = qt.validate_quantale(mutated)
     if val == old:
         assert isinstance(out, Quantale)
-    elif isinstance(out, ValidationReport):
-        assert out.violations
+    elif isinstance(out, CheckReport):
+        assert out.failures()
     else:
         # a lawful variant; verify unit laws really hold for it
         assert all(out.mul(out.unit, a) == a for a in out.elements)

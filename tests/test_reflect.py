@@ -2,6 +2,7 @@
 
 import pytest
 
+from qsheaf.checks import CheckEntry
 from qsheaf.coverage import canonical_quantale_coverage, product_coverage
 from qsheaf.errors import (
     InvalidSpec,
@@ -198,9 +199,8 @@ class TestPreservation:
         _, _, chain = site_of("chain_locale", 2)
         product = product_coverage(chain, quantalic)
         for coverage in (quantalic, localic, product):
-            report = preserves_terminal(coverage)
-            assert report.ok and report.converged, report
-            assert all(n == 1 for n in report.sizes.values())
+            entry = preserves_terminal(coverage)
+            assert entry == CheckEntry("terminal-preserved", True), entry
 
     def test_tensor_of_representables(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
@@ -364,26 +364,23 @@ class TestDownSetCriterion:
             ("ideals_zmod", 12),
         ]
         for name, param in cases:
-            report = lopos_check(STANDARD[name](param))
-            assert report.ok, f"{name}({param}): {report.summary()}"
+            _, entry = lopos_check(STANDARD[name](param))
+            assert entry.ok, f"{name}({param}): {entry.describe()}"
 
     def test_down_set_counts(self):
-        assert lopos_check(STANDARD["lukasiewicz_chain"](3)).down_sets == 4
-        report = lopos_check(STANDARD["powerset_locale"](2))
-        assert (report.down_sets, report.checked) == (6, 36)
-        assert lopos_check(STANDARD["ideals_zmod"](12)).down_sets == 10
+        assert lopos_check(STANDARD["lukasiewicz_chain"](3))[0] == 4
+        down_sets, entry = lopos_check(STANDARD["powerset_locale"](2))
+        assert (down_sets, entry.checked) == (6, 36)
+        assert lopos_check(STANDARD["ideals_zmod"](12))[0] == 10
 
     def test_diamond_with_meet_fails_with_witness(self):
-        report = lopos_check(_m3_with_meet())
-        assert not report.ok
-        assert report.down_sets == 10 and report.checked == 28
-        assert report.witness == {
-            "D": ["0", "x"],
-            "E": ["0", "y", "z"],
-            "lhs": "0",
-            "rhs": "x",
-        }
-        assert "sup(D.E)=0" in report.summary()
+        down_sets, entry = lopos_check(_m3_with_meet())
+        assert not entry.ok
+        assert down_sets == 10 and entry.checked == 28
+        assert entry.witness == (
+            "FAIL: down-sets D=['0', 'x'] E=['0', 'y', 'z']: "
+            "sup(D.E)=0 but sup(D).sup(E)=x"
+        )
 
     def test_non_associative_multiplication_rejected(self):
         raw = {
