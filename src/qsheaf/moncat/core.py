@@ -192,7 +192,8 @@ class ThinCategory(MonoidalCategory):
     Each site keeps per-site tables, built once or at first use: object
     names and order, the strictly comparable pairs, one `Mor` per
     comparable pair (every arrow the site returns comes from this
-    table), and one `PseudoPullback` per ``(a.dom, b.dom, cod)``.
+    table), one `PseudoPullback` per ``(a.dom, b.dom, cod)`` and one
+    representable presheaf ``y(u)`` per object.
     """
 
     is_thin = True
@@ -234,6 +235,7 @@ class ThinCategory(MonoidalCategory):
             if v != u and (v, u) in self._leq
         )
         self._order = None  # (order, downs, ups), built by presheaf.site_order
+        self._yoneda = {}  # u -> the presheaf y(u), built by presheaf.yoneda
         self._arrows = {}  # (a, b) -> the one arrow a -> b, made at first use
         self._pullbacks = {}  # (a.dom, b.dom, cod) -> PseudoPullback
 

@@ -191,11 +191,14 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
 
 
 def yoneda(site: ThinCategory, u) -> Presheaf:
-    """y(u): singleton below u, empty elsewhere, forced restrictions."""
+    """The site's one y(u): singleton below u, empty elsewhere, forced restrictions."""
     _require_thin(site)
-    at = {w: ["*"] if site.leq(w, u) else [] for w in site.objects()}
-    res = {(a, b): {"*": "*"} if site.leq(b, u) else {} for a, b in site.pairs()}
-    return Presheaf(site, at, res)
+    y = site._yoneda.get(u)
+    if y is None:
+        at = {w: ["*"] if site.leq(w, u) else [] for w in site.objects()}
+        res = {(a, b): {"*": "*"} if site.leq(b, u) else {} for a, b in site.pairs()}
+        y = site._yoneda[u] = Presheaf(site, at, res)
+    return y
 
 
 def terminal_presheaf(site: ThinCategory) -> Presheaf:
@@ -254,13 +257,18 @@ class PresheafMorphism:
         return self.components[u]
 
     def is_natural(self) -> bool:
-        """Do the squares of the strict pairs commute? Identity squares do."""
+        """Do the squares of the strict pairs commute? Identity squares do.
+
+        Compared pointwise, as `__init__` has checked the components' endpoints.
+        """
         comps = self.components
-        return all(
-            finset.compose(self.dst.restrict(v, u), comps[u])
-            == finset.compose(comps[v], self.src.restrict(v, u))
-            for v, u in self.src.site.pairs()
-        )
+        src_res, dst_res = self.src._res, self.dst._res
+        for v, u in self.src.site.pairs():
+            down_src, down_dst = src_res[v, u].assignment, dst_res[v, u].assignment
+            at_u, at_v = comps[u].assignment, comps[v].assignment
+            if any(down_dst[at_u[x]] != at_v[down_src[x]] for x in at_u):
+                return False
+        return True
 
     def is_mono(self) -> bool:
         return all(m.is_injective() for m in self.components.values())
@@ -518,34 +526,29 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
 
     At each object w the two parallel maps send the tag (i,j) of an
     arrow into the pseudo-pullback of legs i and j to the tags i and j;
-    their coequalizer classes form the sieve's value at w.
+    their coequalizer classes form the sieve's value at w. A union-find
+    over the tags ``i:*`` of the legs with ``w <= dom_i`` builds those
+    classes directly: it joins i and j whenever ``w <= overlap(i, j)``,
+    and names each class by its least tag, as `finset.coequalizer` does.
     """
     _require_thin(site)
     legs = cover.legs
-    target = cover.target
-    at, res, uf_by_obj = {}, {}, {}
+    overlaps = [[site.overlap(a, b) for b in legs] for a in legs]
+    tags = [finset.tag_label(i, "*") for i in range(len(legs))]
+    at, uf_by_obj = {}, {}
     for w in site.objects():
-        pieces = [
-            FinSetObj(["*"] if site.leq(w, leg.dom) else []) for leg in legs
-        ]
-        total, _ = finset.coproduct(pieces)
-        pair_tags = []
-        for i, j in itertools.product(range(len(legs)), repeat=2):
-            if site.leq(w, site.overlap(legs[i], legs[j])):
-                pair_tags.append((i, j))
-        pairs = FinSetObj([f"{i},{j}" for i, j in pair_tags])
-        first = FinMap(
-            pairs, total, {f"{i},{j}": finset.tag_label(i, "*") for i, j in pair_tags}
-        )
-        second = FinMap(
-            pairs, total, {f"{i},{j}": finset.tag_label(j, "*") for i, j in pair_tags}
-        )
-        quotient, q = finset.coequalizer(first, second)
-        at[w] = quotient
-        uf_by_obj[w] = q
-    for v, u in site.pairs():
-        res[(v, u)] = {rep: uf_by_obj[v](rep) for rep in at[u]}
+        live = [i for i, leg in enumerate(legs) if site.leq(w, leg.dom)]
+        uf = uf_by_obj[w] = UnionFind(tags[i] for i in live)
+        for i in live:
+            for j in live:
+                if i != j and site.leq(w, overlaps[i][j]):
+                    uf.union(tags[i], tags[j])
+        at[w] = FinSetObj({uf.find(tags[i]) for i in live})
+    res = {
+        (v, u): {rep: uf_by_obj[v].find(rep) for rep in at[u]}
+        for v, u in site.pairs()
+    }
     s = Presheaf(site, at, res)
     comps = {w: {rep: "*" for rep in reps} for w, reps in at.items()}
-    canonical = PresheafMorphism(s, yoneda(site, target), comps)
+    canonical = PresheafMorphism(s, yoneda(site, cover.target), comps)
     return Sieve(cover, s, canonical)

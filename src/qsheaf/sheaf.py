@@ -250,12 +250,18 @@ def check_sheaf_orthogonal(f: Presheaf, coverage: Coverage) -> SheafReport:
     for cover in coverage.all_families():
         u = cover.target
         if u not in hom_y_cache:
-            hom_y_cache[u] = hom_presheaves(yoneda(site, u), f)
+            homs_y = hom_y_cache[u] = hom_presheaves(yoneda(site, u), f)
+            if len(homs_y) != len(f.value(u)):
+                raise InternalDefect(
+                    f"internal defect: {len(homs_y)} maps y({site.name(u)}) -> f for "
+                    f"{len(f.value(u))} sections, against the Yoneda lemma"
+                )
         sv = sieve_of(site, cover)
         homs_sieve = hom_presheaves(sv.presheaf, f)
         precomposed = [sv.canonical.then(m) for m in hom_y_cache[u]]
-        unglued = len(set(homs_sieve) - set(precomposed))
-        ambiguous = len(precomposed) - len(set(precomposed))
+        images = set(precomposed)
+        unglued = len(set(homs_sieve) - images)
+        ambiguous = len(precomposed) - len(images)
         outcome = CoverOutcome(cover, len(homs_sieve), unglued, ambiguous)
         report.outcomes.append(outcome)
         if _GRADE[outcome.verdict] < _GRADE[report.verdict]:

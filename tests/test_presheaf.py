@@ -1,12 +1,18 @@
 """Presheaves on thin sites: parsing, morphisms, convolution, sieves."""
 
+import itertools
 import json
 
 import pytest
 
 from qsheaf import finset
 from qsheaf.cli import corpus_dir
-from qsheaf.coverage import CoverFamily
+from qsheaf.coverage import (
+    CoverFamily,
+    canonical_quantale_coverage,
+    parse_coverage,
+    product_coverage,
+)
 from qsheaf.errors import (
     InvalidSpec,
     MissingRestriction,
@@ -72,6 +78,37 @@ def sep_presheaf(site):
 
 def family(site, doms, target):
     return CoverFamily(target, [site.arrow(d, target) for d in doms])
+
+
+CORPUS_SITES = ["chain3", "ideals4", "luk3", "powerset2", "product_chain2_luk3", "tnat3"]
+
+
+def corpus_site(name):
+    """(site, canonical coverage, trivial coverage) of a corpus site file.
+
+    A product site's canonical coverage pairs its factors' canonical
+    coverages and lives on the product site that pairing builds.
+    """
+    raw = corpus(f"site_{name}.json")
+    trivial = corpus(f"coverage_trivial_{name}.json")
+    if "product" in raw:
+        qs = [validate_quantale(raw["product"][side]) for side in ("left", "right")]
+        canonical = product_coverage(*(
+            canonical_quantale_coverage(q, ThinCategory.from_quantale(q)) for q in qs
+        ))
+        return canonical.site, canonical, parse_coverage(canonical.site, trivial)
+    q = validate_quantale(raw)
+    site = ThinCategory.from_quantale(q)
+    canonical = canonical_quantale_coverage(q, site)
+    return site, canonical, parse_coverage(site, trivial, quantale=q)
+
+
+def corpus_presheaves(name, site):
+    """Every corpus presheaf on the named corpus site, in file-name order."""
+    prefix = "product" if name.startswith("product") else name
+    files = sorted(corpus_dir().glob(f"presheaf_{prefix}_*.json"))
+    assert files
+    return [parse_presheaf(site, json.loads(path.read_text())) for path in files]
 
 
 class TestPresheafStructure:
@@ -166,6 +203,25 @@ class TestStandardPresheaves:
         assert [len(y.value(u)) for u in ("0", "h", "1")] == [1, 1, 0]
         assert y.restrict("0", "h")("*") == "*"
 
+    def test_yoneda_is_built_once_per_site_and_object(self):
+        raw = corpus("site_luk3.json")
+        site, twin = (
+            ThinCategory.from_quantale(validate_quantale(raw)) for _ in range(2)
+        )
+        for u in site.objects():
+            y = yoneda(site, u)
+            assert yoneda(site, u) is y
+            assert yoneda(twin, u) is not y
+            fresh = Presheaf(
+                site,
+                {w: ["*"] if site.leq(w, u) else [] for w in site.objects()},
+                {(a, b): {"*": "*"} if site.leq(b, u) else {} for a, b in site.pairs()},
+            )
+            assert y == fresh
+        assert not set(map(id, site._yoneda.values())) & set(
+            map(id, twin._yoneda.values())
+        )
+
     def test_terminal_and_empty(self):
         _, site = luk3_site()
         assert terminal_presheaf(site).total_size() == 3
@@ -183,6 +239,15 @@ class TestStandardPresheaves:
             for u in site.objects():
                 assert validate_presheaf(site, yoneda(site, u)).ok
             assert validate_presheaf(site, terminal_presheaf(site)).ok
+
+
+def composite_is_natural(m):
+    """Naturality by comparing the two composite maps of every square."""
+    return all(
+        finset.compose(m.dst.restrict(v, u), m.component(u))
+        == finset.compose(m.component(v), m.src.restrict(v, u))
+        for v, u in m.src.site.pairs()
+    )
 
 
 class TestMorphisms:
@@ -209,6 +274,27 @@ class TestMorphisms:
             {"1": {}, "h": {}, "0": {"*": "*"}},
         )
         assert incl.is_mono() and not incl.is_iso()
+
+    def test_is_natural_agrees_with_the_composites(self):
+        # every component tuple between corpus presheaves on one site
+        verdicts = {True: 0, False: 0}
+        for name in CORPUS_SITES:
+            site = corpus_site(name)[0]
+            objs = site.objects()
+            presheaves = corpus_presheaves(name, site)
+            for f, g in itertools.product(presheaves, repeat=2):
+                choices = [finset.all_maps(f.value(u), g.value(u)) for u in objs]
+                for maps in itertools.product(*choices):
+                    m = PresheafMorphism(f, g, dict(zip(objs, maps)), check=False)
+                    natural = m.is_natural()
+                    assert natural == composite_is_natural(m), (name, f, g, maps)
+                    verdicts[natural] += 1
+                    if not natural:
+                        with pytest.raises(
+                            InvalidSpec, match="components are not natural"
+                        ):
+                            PresheafMorphism(f, g, m.components)
+        assert verdicts[True] and verdicts[False]
 
     def test_component_endpoints_checked(self):
         _, site = luk3_site()
@@ -381,3 +467,71 @@ class TestSieves:
         sieve = sieve_of(site, CoverFamily("0", []))
         assert sieve.presheaf.total_size() == 0
         assert sieve.canonical.is_mono()
+
+
+def coequalizer_sieve(site, cover):
+    """A cover's sieve built literally, as (values, restrictions, canonical).
+
+    At each object: the coproduct of one singleton per leg below it, the
+    pair tags (i,j) of the legs' pseudo-pullbacks with their two maps to
+    the tags i and j, and `finset.coequalizer` of those maps.
+    """
+    legs = cover.legs
+    at, proj = {}, {}
+    for w in site.objects():
+        pieces = [FinSetObj(["*"] if site.leq(w, leg.dom) else []) for leg in legs]
+        total, _ = finset.coproduct(pieces)
+        pair_tags = [
+            (i, j)
+            for i, j in itertools.product(range(len(legs)), repeat=2)
+            if site.leq(w, site.overlap(legs[i], legs[j]))
+        ]
+        pairs = FinSetObj([f"{i},{j}" for i, j in pair_tags])
+        first, second = (
+            FinMap(pairs, total, {
+                f"{i},{j}": finset.tag_label((i, j)[side], "*") for i, j in pair_tags
+            })
+            for side in (0, 1)
+        )
+        at[w], proj[w] = finset.coequalizer(first, second)
+    res = {(v, u): {rep: proj[v](rep) for rep in at[u]} for v, u in site.pairs()}
+    canonical = {w: {rep: "*" for rep in reps} for w, reps in at.items()}
+    return at, res, canonical
+
+
+def assert_sieve_is_the_coequalizer(site, cover):
+    sieve = sieve_of(site, cover)
+    at, res, canonical = coequalizer_sieve(site, cover)
+    for w in site.objects():
+        assert sieve.presheaf.value(w).elements == at[w].elements, (cover, w)
+        assert sieve.canonical.component(w).assignment == canonical[w], (cover, w)
+    for v, u in site.pairs():
+        assert sieve.presheaf.restrict(v, u).assignment == res[(v, u)], (cover, v, u)
+    assert sieve.canonical.dst == yoneda(site, cover.target)
+
+
+class TestSieveOracle:
+    @pytest.mark.parametrize("name", CORPUS_SITES)
+    def test_corpus_coverages(self, name):
+        site, canonical, trivial = corpus_site(name)
+        families = list(canonical.all_families()) + list(trivial.all_families())
+        assert len(families) > len(site.objects())
+        for cover in families:
+            assert_sieve_is_the_coequalizer(site, cover)
+
+    def test_mutated_luk3_coverage(self):
+        site, canonical, _ = corpus_site("luk3")
+        mutated = canonical.without_family(family(site, ["0", "h"], "h"))
+        assert mutated.family_count() == canonical.family_count() - 1
+        for cover in mutated.all_families():
+            assert_sieve_is_the_coequalizer(site, cover)
+
+    def test_split_reversed_and_empty_covers(self):
+        _, luk3 = luk3_site()
+        _, tnat3 = tnat3_site()
+        for site, cover in [
+            (luk3, family(luk3, ["h", "h"], "h")),
+            (tnat3, family(tnat3, ["1", "2"], "1")),
+            (luk3, CoverFamily("0", [])),
+        ]:
+            assert_sieve_is_the_coequalizer(site, cover)

@@ -11,6 +11,7 @@ from qsheaf.coverage import (
     trivial_coverage,
 )
 from qsheaf.errors import (
+    InternalDefect,
     NotCompatible,
     NotLocale,
     QsheafError,
@@ -251,6 +252,20 @@ class TestVerdicts:
             check_sheaf_equalizer(terminal_presheaf(other), cov)
         with pytest.raises(SiteMismatch):
             check_sheaf_orthogonal(terminal_presheaf(other), cov)
+
+    def test_yoneda_count_mismatch_is_an_internal_defect(self, monkeypatch):
+        # maps y(u) -> f must number the sections f(u); losing one is a bug
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+        representables = [yoneda(site, u) for u in site.objects()]
+        enumerate_homs = sheaf.hom_presheaves
+
+        def drop_one_out_of_a_representable(src, dst):
+            homs = enumerate_homs(src, dst)
+            return homs[1:] if any(src is y for y in representables) else homs
+
+        monkeypatch.setattr(sheaf, "hom_presheaves", drop_one_out_of_a_representable)
+        with pytest.raises(InternalDefect, match="Yoneda lemma"):
+            check_sheaf_orthogonal(terminal_presheaf(site), cov)
 
     def test_checkers_agree_across_the_corpus(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
