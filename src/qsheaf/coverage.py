@@ -1,13 +1,16 @@
 """Covering families and the axiom checkers for all four coverage flavors.
 
-A coverage assigns to each object a finite set of covering families
-(indexed lists of morphisms into it, repeats allowed). Membership is a
-predicate, not just a lookup: the canonical quantalic coverage answers
-by a join computation, explicit coverages by multiset comparison, and
-product coverages by testing both marginals. The checkers verify the
-claimed flavor exhaustively and report, per axiom, the number of
-instances checked and the first violated instance with a witness; they
-never raise on lawful input shapes.
+A coverage assigns to each object of a thin site a finite set of
+covering families (indexed lists of morphisms into it, repeats allowed).
+On a thin site a family is fixed by its target and the multiset of its
+leg domains, so membership reads only those, and each coverage decides
+it once per target and domain multiset. Membership is a predicate, not
+just a lookup: the canonical quantalic coverage answers by a join
+computation, explicit coverages by multiset comparison, and product
+coverages by testing both marginals. The checkers verify the claimed
+flavor exhaustively and report, per axiom, the number of instances
+checked and the first violated instance with a witness; they never
+raise on lawful input shapes.
 
 Flavors, cumulative:
 - weak prelopology: isomorphism singletons, closure under composition,
@@ -23,13 +26,13 @@ import itertools
 
 from .checks import CheckReport, drain
 from .errors import (
+    InternalDefect,
     InvalidSpec,
     NotCartesianSite,
     NotSemicartesian,
     UnverifiedInput,
 )
 from .moncat import (
-    MonoidalCategory,
     ThinCategory,
     canon,
     exists_l_r_factorizations,
@@ -41,13 +44,13 @@ from .quantale import Quantale
 class CoverFamily:
     """An indexed family of morphisms into a common target.
 
-    The legs are checked against the target on construction. The sort
+    The legs are checked against the target on construction, and their
+    domains, all that membership reads, are kept as a tuple. The sort
     key, the target's name with the sorted leg keys, is built on first
-    use by `key`, `clamped_key`, equality or hashing: membership under
-    the join rule never reads it.
+    use by `key`, equality or hashing.
     """
 
-    __slots__ = ("target", "legs", "_key")
+    __slots__ = ("target", "legs", "_domains", "_key")
 
     def __init__(self, target, legs):
         legs = tuple(legs)
@@ -58,6 +61,7 @@ class CoverFamily:
                 )
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "legs", legs)
+        object.__setattr__(self, "_domains", tuple(leg.dom for leg in legs))
         object.__setattr__(self, "_key", None)
 
     def __setattr__(self, name, value):
@@ -72,17 +76,8 @@ class CoverFamily:
             )
         return self._key
 
-    def clamped_key(self, cap):
-        name, legs = self.key()
-        kept, counts = [], {}
-        for k in legs:
-            counts[k] = counts.get(k, 0) + 1
-            if counts[k] <= cap:
-                kept.append(k)
-        return (name, tuple(kept))
-
-    def domains(self):
-        return [leg.dom for leg in self.legs]
+    def domains(self) -> tuple:
+        return self._domains
 
     def __eq__(self, other):
         return isinstance(other, CoverFamily) and self.key() == other.key()
@@ -98,17 +93,38 @@ class CoverFamily:
         return f"{{{doms}}} -> {canon(self.target)}"
 
 
-class Coverage:
-    """Per-object covering families plus a membership predicate.
+def clamped_multiset(doms, cap) -> tuple:
+    """The sorted domains, each repeated at most `cap` times."""
+    doms = sorted(doms)
+    return tuple(
+        d for i, d in enumerate(doms) if i < cap or doms[i - cap] != d
+    )
 
-    `join_rule=True` means membership is decided by the canonical
-    quantalic rule (the legs' domains join to the target); otherwise a
-    family is a member when its leg multiset, with multiplicities
-    clamped to `mult_cap`, equals a stored family's.
+
+class Coverage:
+    """Per-object covering families on a thin site, plus membership.
+
+    A family is a member when `covers(target, doms)` holds for its target
+    and leg domains, the only data a family has on a thin site. Each
+    coverage decides that once per key, where the key holds only what
+    the rule reads:
+
+    - `join_rule=True` (the canonical quantalic rule): the domains lie
+      below the target and join to it; keyed by the target and the set
+      of domains;
+    - an explicit coverage: the domain multiset, with multiplicities
+      clamped to `mult_cap`, equals an assigned family's; the set of
+      assigned keys is the table;
+    - a product coverage (`components` set): both marginal domain lists
+      are covered by their component; keyed by the target and the exact
+      multiset, since clamping at the product's cap would merge families
+      whose marginals differ.
     """
 
-    def __init__(self, site: MonoidalCategory, assign, flavor="prelopology",
+    def __init__(self, site: ThinCategory, assign, flavor="prelopology",
                  join_rule=False, quantale=None, mult_cap=2, components=None):
+        if not isinstance(site, ThinCategory):
+            raise InternalDefect(f"a coverage needs a thin site, not {site!r}")
         self.site = site
         self.flavor = flavor
         self.join_rule = join_rule
@@ -119,10 +135,11 @@ class Coverage:
         for fam in sorted(assign, key=CoverFamily.key):
             self._assign.setdefault(fam.target, []).append(fam)
         self._member_keys = {
-            fam.clamped_key(self.mult_cap)
+            (fam.target, clamped_multiset(fam.domains(), mult_cap))
             for fams in self._assign.values()
             for fam in fams
         }
+        self._verdicts = {}  # key -> membership, under the join or product rule
 
     def families(self, obj):
         return list(self._assign.get(obj, []))
@@ -135,20 +152,30 @@ class Coverage:
         return sum(len(v) for v in self._assign.values())
 
     def contains(self, fam: CoverFamily) -> bool:
+        return self.covers(fam.target, fam.domains())
+
+    def covers(self, target, doms) -> bool:
+        """Whether the arrows ``d -> target``, one per entry of `doms`, cover."""
+        if self.components is not None:
+            key = (target, tuple(sorted(doms)))
+        elif self.join_rule:
+            key = (target, frozenset(doms))
+        else:
+            return (target, clamped_multiset(doms, self.mult_cap)) in self._member_keys
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._decide(target, doms)
+        return verdict
+
+    def _decide(self, target, doms) -> bool:
         if self.components is not None:
             left, right = self.components
-            s1, s2 = left.site, right.site
-            legs1 = [s1.arrow(leg.dom[0], fam.target[0]) for leg in fam.legs]
-            legs2 = [s2.arrow(leg.dom[1], fam.target[1]) for leg in fam.legs]
-            return left.contains(
-                CoverFamily(fam.target[0], legs1)
-            ) and right.contains(CoverFamily(fam.target[1], legs2))
-        if self.join_rule:
-            joined = self.quantale.join(sorted(set(fam.domains())))
-            return joined == fam.target and all(
-                self.site.leq(d, fam.target) for d in fam.domains()
+            return left.covers(target[0], [d[0] for d in doms]) and right.covers(
+                target[1], [d[1] for d in doms]
             )
-        return fam.clamped_key(self.mult_cap) in self._member_keys
+        return self.quantale.join(sorted(set(doms))) == target and all(
+            self.site.leq(d, target) for d in doms
+        )
 
     def without_family(self, fam: CoverFamily) -> "Coverage":
         """Explicit copy with one family removed; membership follows."""
@@ -262,6 +289,8 @@ def parse_coverage(site: ThinCategory, raw: dict, quantale=None) -> Coverage:
         raise InvalidSpec("'covers' must be a list of objects")
     if type(mult_cap) is not int:
         raise InvalidSpec(f"'mult_cap' must be an integer, not {mult_cap!r}")
+    if mult_cap < 1:
+        raise InvalidSpec(f"'mult_cap' must be at least 1, not {mult_cap}")
     by_name = {canon(u): u for u in site.objects()}
     assign = []
     for entry in covers:
@@ -331,27 +360,22 @@ def product_coverage(left: Coverage, right: Coverage) -> Coverage:
 
 
 def _iso_singletons(cov: Coverage):
-    site = cov.site
-    for u in site.objects():
-        for w in site.objects():
-            for m in site.hom(w, u):
-                if site.is_iso(m):
-                    yield None if cov.contains(CoverFamily(u, [m])) else (
-                        f"iso singleton {canon(w)} -> {canon(u)} missing"
-                    )
+    # on a thin site the isomorphisms are the identities
+    for u in cov.site.objects():
+        yield None if cov.covers(u, [u]) else (
+            f"iso singleton {canon(u)} -> {canon(u)} missing"
+        )
 
 
 def _composition(cov: Coverage):
-    site = cov.site
+    # on a thin site the composite of leg i with a refinement's legs has
+    # the refinement's domains in place of leg i's
     for fam in cov.all_families():
-        for i, leg in enumerate(fam.legs):
-            for refinement in cov.families(leg.dom):
-                composite = (
-                    fam.legs[:i]
-                    + tuple(site.compose(leg, g) for g in refinement.legs)
-                    + fam.legs[i + 1:]
-                )
-                yield None if cov.contains(CoverFamily(fam.target, composite)) else (
+        doms = fam.domains()
+        for i, dom in enumerate(doms):
+            for refinement in cov.families(dom):
+                composite = doms[:i] + refinement.domains() + doms[i + 1:]
+                yield None if cov.covers(fam.target, composite) else (
                     f"refining leg {i} of {fam!r} by {refinement!r}"
                 )
 
@@ -359,23 +383,26 @@ def _composition(cov: Coverage):
 def _tensor_stability(cov: Coverage):
     site = cov.site
     for fam in cov.all_families():
+        doms = fam.domains()
         for v in site.objects():
-            id_v = site.identity(v)
-            right = CoverFamily(
+            right = cov.covers(
                 site.tensor_obj(fam.target, v),
-                [site.tensor_mor(f, id_v) for f in fam.legs],
+                [site.tensor_obj(d, v) for d in doms],
             )
-            left = CoverFamily(
+            left = cov.covers(
                 site.tensor_obj(v, fam.target),
-                [site.tensor_mor(id_v, f) for f in fam.legs],
+                [site.tensor_obj(v, d) for d in doms],
             )
             for side, tensored in (("right", right), ("left", left)):
-                yield None if cov.contains(tensored) else (
+                yield None if tensored else (
                     f"{fam!r} tensored with {canon(v)} on the {side}"
                 )
 
 
 def _ppb_stability(cov: Coverage):
+    # On a thin site the tensor is monotone, so each leg's piece factors
+    # through the base's equalizer: the family to test is the pieces'
+    # apexes into the base's.
     site = cov.site
     for fam in cov.all_families():
         u = fam.target
@@ -385,23 +412,13 @@ def _ppb_stability(cov: Coverage):
                 # the left side is the right side with every pair swapped
                 for side, turn in (("right", 1), ("left", -1)):
                     base = pseudo_pullback(site, *(id_u, g)[::turn])
-                    phis = []
-                    for f in fam.legs:
-                        piece = pseudo_pullback(site, *(f, g)[::turn])
-                        arrow = site.compose(
-                            site.tensor_mor(*(f, site.identity(v))[::turn]),
-                            piece.into,
-                        )
-                        phis.append(site.factor_through_mono(base.into, arrow))
-                    if any(phi is None for phi in phis):
-                        yield (
-                            f"{fam!r} along {canon(v)} -> {canon(u)} ({side}): "
-                            "no equalizer factorization"
-                        )
-                    elif not cov.contains(CoverFamily(base.obj, phis)):
-                        yield f"{fam!r} along {canon(v)} -> {canon(u)} ({side})"
-                    else:
-                        yield None
+                    doms = [
+                        pseudo_pullback(site, *(f, g)[::turn]).obj
+                        for f in fam.legs
+                    ]
+                    yield None if cov.covers(base.obj, doms) else (
+                        f"{fam!r} along {canon(v)} -> {canon(u)} ({side})"
+                    )
 
 
 def _projection_factorizations(cov: Coverage):
@@ -427,10 +444,8 @@ def _pullback_stability(cov: Coverage):
         u = fam.target
         for v in site.objects():
             for g in site.hom(v, u):
-                legs = [
-                    pseudo_pullback(site, f, g).p2 for f in fam.legs
-                ]
-                yield None if cov.contains(CoverFamily(v, legs)) else (
+                doms = [pseudo_pullback(site, f, g).obj for f in fam.legs]
+                yield None if cov.covers(v, doms) else (
                     f"pullbacks of {fam!r} along {canon(v)} -> {canon(u)}"
                 )
 

@@ -192,8 +192,10 @@ class ThinCategory(MonoidalCategory):
     Each site keeps per-site tables, built once or at first use: object
     names and order, the strictly comparable pairs, one `Mor` per
     comparable pair (every arrow the site returns comes from this
-    table), one `PseudoPullback` per ``(a.dom, b.dom, cod)`` and one
-    representable presheaf ``y(u)`` per object.
+    table), one `PseudoPullback` per ``(a.dom, b.dom, cod)``, one
+    ``(l_sols, r_sols)`` factorization search result per
+    ``(a.dom, b.dom, cod, v)`` and one representable presheaf ``y(u)``
+    per object.
     """
 
     is_thin = True
@@ -238,6 +240,7 @@ class ThinCategory(MonoidalCategory):
         self._yoneda = {}  # u -> the presheaf y(u), built by presheaf.yoneda
         self._arrows = {}  # (a, b) -> the one arrow a -> b, made at first use
         self._pullbacks = {}  # (a.dom, b.dom, cod) -> PseudoPullback
+        self._factorizations = {}  # (a.dom, b.dom, cod, v) -> (l_sols, r_sols)
 
     @classmethod
     def from_quantale(cls, q):
@@ -803,6 +806,11 @@ def exists_l_r_factorizations(c: MonoidalCategory, legs, v):
     l from the pseudo-pullback of (id_v (x) f_i, id_v (x) f_j) into
     v (x) (pseudo-pullback of f_i, f_j) commuting with both projections,
     and the mirror-image r. Returns (ok, details).
+
+    On a thin site the search for one leg pair depends only on
+    ``(f_i.dom, f_j.dom, cod, v)``, and the site keeps its result in a
+    table under that key, built at first use. Other instances search on
+    every call.
     """
     legs = list(legs)
     if not legs:
@@ -810,37 +818,10 @@ def exists_l_r_factorizations(c: MonoidalCategory, legs, v):
     target_cod = legs[0].cod
     if any(m.cod != target_cod for m in legs):
         raise CodomainMismatch("legs must share a codomain")
-    id_v = c.identity(v)
     details = []
     ok = True
     for i, j in itertools.product(range(len(legs)), repeat=2):
-        base = pseudo_pullback(c, legs[i], legs[j])
-        left = pseudo_pullback(
-            c, c.tensor_mor(id_v, legs[i]), c.tensor_mor(id_v, legs[j])
-        )
-        l_target = c.tensor_obj(v, base.obj)
-        l_sols = c.solve(
-            left.obj,
-            l_target,
-            [
-                (c.tensor_mor(id_v, base.p1), left.p1),
-                (c.tensor_mor(id_v, base.p2), left.p2),
-            ],
-            limit=1,
-        )
-        right = pseudo_pullback(
-            c, c.tensor_mor(legs[i], id_v), c.tensor_mor(legs[j], id_v)
-        )
-        r_target = c.tensor_obj(base.obj, v)
-        r_sols = c.solve(
-            right.obj,
-            r_target,
-            [
-                (c.tensor_mor(base.p1, id_v), right.p1),
-                (c.tensor_mor(base.p2, id_v), right.p2),
-            ],
-            limit=1,
-        )
+        l_sols, r_sols = _l_r_solutions(c, legs[i], legs[j], v)
         found = bool(l_sols) and bool(r_sols)
         ok = ok and found
         details.append(
@@ -851,6 +832,44 @@ def exists_l_r_factorizations(c: MonoidalCategory, legs, v):
             }
         )
     return ok, details
+
+
+def _l_r_solutions(c: MonoidalCategory, fi: Mor, fj: Mor, v):
+    """``(l_sols, r_sols)`` for one leg pair, from the table on a thin site."""
+    if not isinstance(c, ThinCategory):
+        return _l_r_search(c, fi, fj, v)
+    key = (fi.dom, fj.dom, fi.cod, v)
+    sols = c._factorizations.get(key)
+    if sols is None:
+        sols = c._factorizations[key] = _l_r_search(c, fi, fj, v)
+    return sols
+
+
+def _l_r_search(c: MonoidalCategory, fi: Mor, fj: Mor, v):
+    """The l and r solutions, at most one each, for the leg pair (fi, fj)."""
+    id_v = c.identity(v)
+    base = pseudo_pullback(c, fi, fj)
+    left = pseudo_pullback(c, c.tensor_mor(id_v, fi), c.tensor_mor(id_v, fj))
+    l_sols = c.solve(
+        left.obj,
+        c.tensor_obj(v, base.obj),
+        [
+            (c.tensor_mor(id_v, base.p1), left.p1),
+            (c.tensor_mor(id_v, base.p2), left.p2),
+        ],
+        limit=1,
+    )
+    right = pseudo_pullback(c, c.tensor_mor(fi, id_v), c.tensor_mor(fj, id_v))
+    r_sols = c.solve(
+        right.obj,
+        c.tensor_obj(base.obj, v),
+        [
+            (c.tensor_mor(base.p1, id_v), right.p1),
+            (c.tensor_mor(base.p2, id_v), right.p2),
+        ],
+        limit=1,
+    )
+    return l_sols, r_sols
 
 
 def trivial_equalizer(instance, f, g):

@@ -236,6 +236,24 @@ CASES = [
         ["check-quantale", "q.json"],
         1,
     ),
+    Case(
+        "check_pretopology_ideals4_canonical",
+        {
+            "s.json": corpus("site_ideals4.json"),
+            "c.json": corpus("coverage_canonical.json"),
+        },
+        ["check-prelopology", "s.json", "c.json", "--flavor", "pretopology"],
+        1,
+    ),
+    Case(
+        "check_prelopology_product_trivial",
+        {
+            "s.json": corpus("site_product_chain2_luk3.json"),
+            "c.json": corpus("coverage_trivial_product_chain2_luk3.json"),
+        },
+        ["check-prelopology", "s.json", "c.json", "--flavor", "strong_prelopology"],
+        0,
+    ),
 ]
 
 
@@ -507,6 +525,9 @@ MALFORMED_COVERAGES = {
     "covers-an-object": {"covers": {"h": [{"dom": "h"}]}},
     "target-a-list": {"covers": [{"target": ["h"], "legs": []}]},
     "legs-a-string": {"covers": [{"target": "h", "legs": "0"}]},
+    # a cap below 1 would clamp every family to its bare target
+    "mult-cap-zero": {"mult_cap": 0, "covers": [{"target": "h", "legs": [{"dom": "0"}]}]},
+    "mult-cap-negative": {"mult_cap": -1, "covers": [{"target": "h", "legs": [{"dom": "h"}]}]},
 }
 
 _LUK3_RES = {"0<=h": {}, "0<=1": {}, "h<=1": {}}
@@ -665,6 +686,22 @@ def check_quantale_argv():
     return ["check-quantale", str(corpus_dir() / "site_luk3.json")]
 
 
+def run_python(args):
+    """Run this interpreter on `args` with the qsheaf this suite imported.
+
+    The directory holding that qsheaf goes first on the path, so the
+    subprocess runs the same code whether or not it is installed.
+    """
+    package_root = str(Path(qsheaf.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env
+    )
+
+
 def run_declared_script(argv):
     """Run the `qsheaf` target of `[project.scripts]` as its wrapper would."""
     try:
@@ -674,19 +711,7 @@ def run_declared_script(argv):
     with PYPROJECT.open("rb") as handle:
         target = tomllib.load(handle)["project"]["scripts"]["qsheaf"]
     module, _, attr = target.partition(":")
-    # The directory holding the qsheaf this suite imported goes first, so
-    # the subprocess runs the same code whether or not it is installed.
-    package_root = str(Path(qsheaf.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [package_root, env.get("PYTHONPATH")])
-    )
-    return subprocess.run(
-        [sys.executable, "-c", WRAPPER.format(module=module, attr=attr), *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
+    return run_python(["-c", WRAPPER.format(module=module, attr=attr), *argv])
 
 
 class TestConsoleScript:
@@ -700,6 +725,11 @@ class TestConsoleScript:
         broken.write_text(json.dumps(broken_mul_quantale()))
         outcome = run_declared_script(["check-quantale", str(broken)])
         assert outcome.returncode == 1, outcome.stderr
+
+    def test_module_runs_from_a_checkout(self):
+        outcome = run_python(["-m", "qsheaf", *check_quantale_argv()])
+        assert outcome.returncode == 0, outcome.stderr
+        assert outcome.stdout.splitlines()[0] == "pass quantale-laws"
 
     @pytest.mark.skipif(
         shutil.which("qsheaf") is None, reason="no installed qsheaf executable on PATH"

@@ -1,9 +1,21 @@
-"""Covering-family membership, flavor checkers, mutations, and products."""
+"""Covering-family membership, flavor checkers, mutations, and products.
 
+Membership and the five axiom generators are also checked against
+oracles that keep their first formulation: membership from cover
+families and their clamped leg keys, and axiom instances built from
+composed and tensored morphisms, with a fresh l/r factorization search
+for every family.
+"""
+
+import itertools
+import json
 import time
 
 import pytest
 
+from qsheaf import coverage as coverage_module
+from qsheaf.checks import drain
+from qsheaf.cli import corpus_dir
 from qsheaf.coverage import (
     CoverFamily,
     Coverage,
@@ -19,12 +31,20 @@ from qsheaf.coverage import (
     trivial_coverage,
 )
 from qsheaf.errors import (
+    InternalDefect,
     InvalidSpec,
     NotCartesianSite,
     NotSemicartesian,
     UnverifiedInput,
 )
-from qsheaf.moncat import ThinCategory
+from qsheaf.moncat import (
+    FinSetCategory,
+    ThinCategory,
+    canon,
+    exists_l_r_factorizations,
+    pseudo_pullback,
+)
+from qsheaf.moncat import core
 from qsheaf.quantale import Quantale, build_standard, validate_quantale
 
 
@@ -65,6 +85,21 @@ def mid_unit_chain3_raw():
             else:
                 mul[f"{a},{b}"] = "t"
     return {"elements": els, "leq": leq, "mul": mul, "unit": "e"}
+
+
+def noncommutative_chain4_raw():
+    """4-chain 0 < a < b < 1 with top unit and a (x) b = 0 but b (x) a = a."""
+    els = ["0", "a", "b", "1"]
+    rank = {e: i for i, e in enumerate(els)}
+    leq = [[x, y] for x in els for y in els if rank[x] <= rank[y]]
+    mul = {"a,a": "0", "a,b": "0", "b,a": "a", "b,b": "b"}
+    for x in els:
+        for y in els:
+            if "0" in (x, y):
+                mul[f"{x},{y}"] = "0"
+            elif "1" in (x, y):
+                mul[f"{x},{y}"] = y if x == "1" else x
+    return {"elements": els, "leq": leq, "mul": mul, "unit": "1"}
 
 
 class TestCanonicalMembership:
@@ -121,6 +156,10 @@ class TestCanonicalMembership:
         assert exp.contains(family(site, ["h", "h"], "h"))
         assert exp.contains(family(site, ["h", "h", "h"], "h"))
         assert not exp.contains(family(site, ["0"], "h"))
+
+    def test_coverage_needs_a_thin_site(self):
+        with pytest.raises(InternalDefect):
+            Coverage(FinSetCategory(max_size=1), [])
 
     def test_canonical_needs_semicartesian(self):
         q = validate_quantale(mid_unit_chain3_raw())
@@ -291,8 +330,6 @@ class TestProductCoverage:
         q2, s2, right = make("lukasiewicz_chain", 3)
         prod = product_coverage(left, right)
         site = prod.site
-        import itertools
-
         objs = site.objects()
         for target in objs:
             below = [o for o in objs if site.leq(o, target)]
@@ -352,6 +389,14 @@ class TestParsing:
         with pytest.raises(InvalidSpec):
             parse_coverage(site, {"canonical": True})
 
+    def test_mult_cap_below_one_is_malformed(self):
+        q, site, _ = make("lukasiewicz_chain", 3)
+        covers = [{"target": "h", "legs": [{"dom": "0"}]}]
+        for cap in (0, -1):
+            with pytest.raises(InvalidSpec, match="at least 1"):
+                parse_coverage(site, {"mult_cap": cap, "covers": covers})
+        assert parse_coverage(site, {"mult_cap": 1, "covers": covers}).mult_cap == 1
+
     def test_bad_specs(self):
         q, site, _ = make("lukasiewicz_chain", 3)
         with pytest.raises(InvalidSpec):
@@ -406,3 +451,423 @@ def _flat_product_raw(q1, q2):
         "mul": mul,
         "unit": lab(q1.unit, q2.unit),
     }
+
+
+# ---------------------------------------------------------------------------
+# oracles: membership and the axiom generators in their first formulation
+
+CORPUS_SITES = ["chain3", "ideals4", "luk3", "powerset2", "product_chain2_luk3", "tnat3"]
+FLAVORS = ["weak_prelopology", "prelopology", "strong_prelopology", "pretopology"]
+
+
+def corpus(name):
+    return json.loads((corpus_dir() / name).read_text())
+
+
+def corpus_coverages(key):
+    """The canonical and trivial coverage of a corpus site, freshly built."""
+    raw = corpus(f"site_{key}.json")
+    if "product" in raw:
+        lq = validate_quantale(raw["product"]["left"])
+        rq = validate_quantale(raw["product"]["right"])
+        lsite, rsite = ThinCategory.from_quantale(lq), ThinCategory.from_quantale(rq)
+        site, q = ThinCategory.product(lsite, rsite), None
+        canonical = product_coverage(
+            canonical_quantale_coverage(lq, lsite),
+            canonical_quantale_coverage(rq, rsite),
+        )
+    else:
+        q = validate_quantale(raw)
+        site = ThinCategory.from_quantale(q)
+        canonical = canonical_quantale_coverage(q, site)
+    trivial = parse_coverage(site, corpus(f"coverage_trivial_{key}.json"), quantale=q)
+    return canonical, trivial
+
+
+def _undercap_product():
+    """A product whose own cap, 1, is below its left component's, 2.
+
+    The left component covers `h` by the doubled leg only, so a product
+    family with a doubled leg over `h` differs in membership from its
+    copy with one leg: membership must not clamp at the product's cap.
+    """
+    q, site, _ = make("lukasiewicz_chain", 3)
+    left = parse_coverage(site, {
+        "mult_cap": 2,
+        "covers": [
+            {"target": u, "legs": [{"dom": u}]} for u in ["0", "1"]
+        ] + [{"target": "h", "legs": [{"dom": "h"}, {"dom": "h"}]}],
+    }, quantale=q)
+    _, _, right = make("chain_locale", 2)
+    base = product_coverage(canonical_quantale_coverage(q, site), right)
+    return Coverage(
+        base.site, list(base.all_families()), mult_cap=1, components=(left, right)
+    )
+
+
+def oracle_cases():
+    """(label, build) for every coverage the oracle tests run on."""
+    cases = []
+    for key in CORPUS_SITES:
+        cases.append((f"{key}-canonical", lambda key=key: corpus_coverages(key)[0]))
+        cases.append((f"{key}-trivial", lambda key=key: corpus_coverages(key)[1]))
+
+    def locale_product():
+        return product_coverage(make("chain_locale", 2)[2], make("chain_locale", 3)[2])
+
+    def luk3_mutated():
+        _, site, cov = make("lukasiewicz_chain", 3)
+        return cov.without_family(family(site, ["0", "h"], "h"))
+
+    def luk3_with(remove_again=False):
+        _, site, cov = make("lukasiewicz_chain", 3)
+        added = family(site, ["h"], "1")
+        grown = cov.with_family(added)
+        return grown.without_family(added) if remove_again else grown
+
+    def noncommutative4(drop=None):
+        q = validate_quantale(noncommutative_chain4_raw())
+        site = ThinCategory.from_quantale(q)
+        cov = canonical_quantale_coverage(q, site)
+        # without {0,a} -> a, some families stay stable on one side only
+        return cov.without_family(family(site, drop, "a")) if drop else cov
+
+    def luk3_cap1():
+        cov = make("lukasiewicz_chain", 3)[2]
+        return Coverage(cov.site, list(cov.all_families()), mult_cap=1)
+
+    cases += [
+        ("product-locales", locale_product),
+        ("product-undercap", _undercap_product),
+        ("luk3-mutated", luk3_mutated),
+        ("luk3-with-family", luk3_with),
+        ("luk3-with-without-family", lambda: luk3_with(remove_again=True)),
+        ("luk3-explicit-cap1", luk3_cap1),
+        ("noncommutative4-canonical", noncommutative4),
+        ("noncommutative4-mutated", lambda: noncommutative4(["0", "a"])),
+    ]
+    return cases
+
+
+def flavors_of(cov):
+    return FLAVORS if cov.site.is_cartesian else FLAVORS[:3]
+
+
+def oracle_clamped_key(fam, cap):
+    name, legs = fam.key()
+    kept, counts = [], {}
+    for k in legs:
+        counts[k] = counts.get(k, 0) + 1
+        if counts[k] <= cap:
+            kept.append(k)
+    return (name, tuple(kept))
+
+
+def oracle_contains(cov, fam):
+    """Membership as first written: join, clamped leg keys, marginal arrows."""
+    if cov.components is not None:
+        left, right = cov.components
+        s1, s2 = left.site, right.site
+        legs1 = [s1.arrow(leg.dom[0], fam.target[0]) for leg in fam.legs]
+        legs2 = [s2.arrow(leg.dom[1], fam.target[1]) for leg in fam.legs]
+        return oracle_contains(
+            left, CoverFamily(fam.target[0], legs1)
+        ) and oracle_contains(right, CoverFamily(fam.target[1], legs2))
+    if cov.join_rule:
+        joined = cov.quantale.join(sorted(set(fam.domains())))
+        return joined == fam.target and all(
+            cov.site.leq(d, fam.target) for d in fam.domains()
+        )
+    members = {oracle_clamped_key(f, cov.mult_cap) for f in cov.all_families()}
+    return oracle_clamped_key(fam, cov.mult_cap) in members
+
+
+def oracle_iso_singletons(cov):
+    site = cov.site
+    for u in site.objects():
+        for w in site.objects():
+            for m in site.hom(w, u):
+                if site.is_iso(m):
+                    yield None if oracle_contains(cov, CoverFamily(u, [m])) else (
+                        f"iso singleton {canon(w)} -> {canon(u)} missing"
+                    )
+
+
+def oracle_composition(cov):
+    site = cov.site
+    for fam in cov.all_families():
+        for i, leg in enumerate(fam.legs):
+            for refinement in cov.families(leg.dom):
+                composite = (
+                    fam.legs[:i]
+                    + tuple(site.compose(leg, g) for g in refinement.legs)
+                    + fam.legs[i + 1:]
+                )
+                yield None if oracle_contains(cov, CoverFamily(fam.target, composite)) else (
+                    f"refining leg {i} of {fam!r} by {refinement!r}"
+                )
+
+
+def oracle_tensor_stability(cov):
+    site = cov.site
+    for fam in cov.all_families():
+        for v in site.objects():
+            id_v = site.identity(v)
+            right = CoverFamily(
+                site.tensor_obj(fam.target, v),
+                [site.tensor_mor(f, id_v) for f in fam.legs],
+            )
+            left = CoverFamily(
+                site.tensor_obj(v, fam.target),
+                [site.tensor_mor(id_v, f) for f in fam.legs],
+            )
+            for side, tensored in (("right", right), ("left", left)):
+                yield None if oracle_contains(cov, tensored) else (
+                    f"{fam!r} tensored with {canon(v)} on the {side}"
+                )
+
+
+def oracle_ppb_stability(cov):
+    site = cov.site
+    for fam in cov.all_families():
+        u = fam.target
+        id_u = site.identity(u)
+        for v in site.objects():
+            for g in site.hom(v, u):
+                for side, turn in (("right", 1), ("left", -1)):
+                    base = pseudo_pullback(site, *(id_u, g)[::turn])
+                    phis = []
+                    for f in fam.legs:
+                        piece = pseudo_pullback(site, *(f, g)[::turn])
+                        arrow = site.compose(
+                            site.tensor_mor(*(f, site.identity(v))[::turn]),
+                            piece.into,
+                        )
+                        phis.append(site.factor_through_mono(base.into, arrow))
+                    if any(phi is None for phi in phis):
+                        yield (
+                            f"{fam!r} along {canon(v)} -> {canon(u)} ({side}): "
+                            "no equalizer factorization"
+                        )
+                    elif not oracle_contains(cov, CoverFamily(base.obj, phis)):
+                        yield f"{fam!r} along {canon(v)} -> {canon(u)} ({side})"
+                    else:
+                        yield None
+
+
+def fresh_l_r_factorizations(c, legs, v):
+    """The l/r search for every leg pair, with no table."""
+    legs = list(legs)
+    id_v = c.identity(v)
+    details, ok = [], True
+    for i, j in itertools.product(range(len(legs)), repeat=2):
+        base = pseudo_pullback(c, legs[i], legs[j])
+        left = pseudo_pullback(
+            c, c.tensor_mor(id_v, legs[i]), c.tensor_mor(id_v, legs[j])
+        )
+        l_sols = c.solve(
+            left.obj,
+            c.tensor_obj(v, base.obj),
+            [
+                (c.tensor_mor(id_v, base.p1), left.p1),
+                (c.tensor_mor(id_v, base.p2), left.p2),
+            ],
+            limit=1,
+        )
+        right = pseudo_pullback(
+            c, c.tensor_mor(legs[i], id_v), c.tensor_mor(legs[j], id_v)
+        )
+        r_sols = c.solve(
+            right.obj,
+            c.tensor_obj(base.obj, v),
+            [
+                (c.tensor_mor(base.p1, id_v), right.p1),
+                (c.tensor_mor(base.p2, id_v), right.p2),
+            ],
+            limit=1,
+        )
+        ok = ok and bool(l_sols) and bool(r_sols)
+        details.append({
+            "pair": (i, j),
+            "l": l_sols[0] if l_sols else None,
+            "r": r_sols[0] if r_sols else None,
+        })
+    return ok, details
+
+
+def oracle_projection_factorizations(cov):
+    site = cov.site
+    for fam in cov.all_families():
+        if not fam.legs:
+            continue
+        for v in site.objects():
+            ok, details = fresh_l_r_factorizations(site, fam.legs, v)
+            if ok:
+                yield None
+            else:
+                bad = next(
+                    d["pair"] for d in details
+                    if d["l"] is None or d["r"] is None
+                )
+                yield f"{fam!r} with {canon(v)}: no l/r for leg pair {bad}"
+
+
+def oracle_pullback_stability(cov):
+    site = cov.site
+    for fam in cov.all_families():
+        u = fam.target
+        for v in site.objects():
+            for g in site.hom(v, u):
+                legs = [pseudo_pullback(site, f, g).p2 for f in fam.legs]
+                yield None if oracle_contains(cov, CoverFamily(v, legs)) else (
+                    f"pullbacks of {fam!r} along {canon(v)} -> {canon(u)}"
+                )
+
+
+ORACLE_AXIOMS = {
+    "iso-singletons": oracle_iso_singletons,
+    "composition": oracle_composition,
+    "tensor-stability": oracle_tensor_stability,
+    "ppb-stability": oracle_ppb_stability,
+    "projection-factorizations": oracle_projection_factorizations,
+    "pullback-stability": oracle_pullback_stability,
+}
+
+
+ORACLE_CASES = oracle_cases()
+ORACLE_IDS = [label for label, _ in ORACLE_CASES]
+
+
+@pytest.mark.parametrize("label,build", ORACLE_CASES, ids=ORACLE_IDS)
+def test_covers_matches_the_membership_oracle(label, build, monkeypatch):
+    """Every family the axiom checks ask about, and every assigned family.
+
+    Each is asked of a freshly built twin twice, so the first answer is
+    decided and the second read back, then once more of the coverage the
+    checks ran on. The same domains are then asked into every other
+    target above them. Product components are compared the same way.
+    """
+    asked = {}  # coverage -> {(target, sorted domains): domains as asked}
+    covers = Coverage.covers
+
+    def spy(self, target, doms):
+        key = (target, tuple(sorted(doms)))
+        asked.setdefault(self, {}).setdefault(key, list(doms))
+        return covers(self, target, doms)
+
+    monkeypatch.setattr(Coverage, "covers", spy)
+    checked = build()
+    for flavor in flavors_of(checked):
+        check_flavor(checked, flavor)
+    monkeypatch.undo()
+    assert asked.get(checked)
+
+    fresh = build()
+    pairs = [(checked, fresh)]
+    pairs += zip(checked.components or (), fresh.components or ())
+    for cov, twin in pairs:
+        families = dict(asked.get(cov, {}))
+        for fam in cov.all_families():
+            key = (fam.target, tuple(sorted(fam.domains())))
+            families.setdefault(key, fam.domains())
+        for (_, key), doms in list(families.items()):
+            for target in cov.site.objects():
+                if all(cov.site.leq(d, target) for d in doms):
+                    families.setdefault((target, key), doms)
+        for (target, _), doms in families.items():
+            fam = CoverFamily(target, [cov.site.arrow(d, target) for d in doms])
+            expected = oracle_contains(cov, fam)
+            assert twin.covers(target, doms) == expected, (label, fam)
+            assert twin.covers(target, doms[::-1]) == expected, (label, fam)
+            assert twin.contains(fam) == expected, (label, fam)
+            assert cov.covers(target, doms) == expected, (label, fam)
+
+
+@pytest.mark.parametrize("label,build", ORACLE_CASES, ids=ORACLE_IDS)
+def test_axiom_generators_match_their_oracles(label, build):
+    """The same instance stream, witnesses included, and the same counts."""
+    cov = build()
+    streams = {}
+    for flavor in flavors_of(cov):
+        expected = []
+        for name, axiom in coverage_module._AXIOMS[flavor]:
+            if name not in streams:
+                streams[name] = list(axiom(cov))
+                assert streams[name] == list(ORACLE_AXIOMS[name](cov)), (label, name)
+            expected.append(drain(name, streams[name]))
+        assert check_flavor(cov, flavor).entries == expected, (label, flavor)
+
+
+def test_oracle_cases_include_failing_streams():
+    failing = set()
+    for label, build in ORACLE_CASES:
+        cov = build()
+        if not check_flavor(cov, "strong_prelopology").ok:
+            failing.add(label)
+    assert {"luk3-mutated", "luk3-with-family"} <= failing
+
+
+class TestFactorizationTable:
+    @staticmethod
+    def count_searches(monkeypatch):
+        calls = []
+        search = core._l_r_search
+
+        def counted(c, fi, fj, v):
+            calls.append((fi.dom, fj.dom, fi.cod, v))
+            return search(c, fi, fj, v)
+
+        monkeypatch.setattr(core, "_l_r_search", counted)
+        return calls
+
+    def test_built_once_per_key(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        cov = corpus_coverages("tnat3")[0]
+        assert check_strong_prelopology(cov).ok
+        table = cov.site._factorizations
+        assert calls and len(calls) == len(set(calls)) == len(table)
+        assert set(calls) == set(table)
+        entries = dict(table)
+        assert check_strong_prelopology(cov).ok
+        assert len(calls) == len(table) == len(entries)
+        assert all(table[key] is entry for key, entry in entries.items())
+
+    def test_equal_keys_return_the_same_entry(self, monkeypatch):
+        calls = self.count_searches(monkeypatch)
+        q, site, _ = make("lukasiewicz_chain", 3)
+        legs = [site.arrow("h", "1"), site.arrow("h", "1"), site.arrow("0", "1")]
+        for v in site.objects():
+            ok, details = exists_l_r_factorizations(site, legs, v)
+            assert (ok, details) == fresh_l_r_factorizations(site, legs, v)
+            entry = site._factorizations[("h", "h", "1", v)]
+            exists_l_r_factorizations(site, legs[::-1], v)
+            assert site._factorizations[("h", "h", "1", v)] is entry
+            assert details[0]["l"] is entry[0][0] and details[0]["r"] is entry[1][0]
+        # keys (h,h), (h,0), (0,h) and (0,0), once per v
+        assert len(calls) == 4 * len(site.objects())
+
+    def test_sites_parsed_from_one_file_share_no_entry(self):
+        tables = []
+        for _ in range(2):
+            q = validate_quantale(corpus("site_luk3.json"))
+            site = ThinCategory.from_quantale(q)
+            assert check_strong_prelopology(canonical_quantale_coverage(q, site)).ok
+            tables.append(site._factorizations)
+        first, second = tables
+        assert first and first.keys() == second.keys() and first is not second
+        for key in first:
+            assert first[key] is not second[key]
+            assert first[key][0][0] is not second[key][0][0]
+
+    def test_other_instances_search_on_every_call(self, monkeypatch):
+        # the finite-set instance whose equalizers are the whole object
+        calls = self.count_searches(monkeypatch)
+        c = FinSetCategory(max_size=2, equalizer_fn=core.trivial_equalizer)
+        u = c.objects()[2]
+        legs = [c.identity(u), c.identity(u)]
+        v = c.objects()[1]
+        for _ in range(2):
+            assert exists_l_r_factorizations(c, legs, v) == fresh_l_r_factorizations(
+                c, legs, v
+            )
+        assert len(calls) == 2 * len(legs) ** 2

@@ -6,7 +6,8 @@ sites and presheaves. The per-site tables the enumerators read (the site
 order, its Hasse lists, the arrows and the pseudo-pullbacks) are checked
 the same way, and are shown to be built once per site and never handed
 out mutable. Cover-family keys, built on demand, are checked against the
-formula they were once built by eagerly.
+formula they were once built by eagerly, and the clamped domain multisets
+that explicit membership compares against the clamp of the sorted keys.
 """
 
 import functools
@@ -23,6 +24,7 @@ from qsheaf.coverage import (
     CoverFamily,
     canonical_quantale_coverage,
     check_strong_prelopology,
+    clamped_multiset,
     parse_coverage,
     product_coverage,
 )
@@ -409,9 +411,14 @@ def test_cover_keys_built_on_demand_are_the_eager_keys():
         for fam in families:
             key = _eager_key(fam)
             assert CoverFamily(fam.target, fam.legs).key() == key
-            assert CoverFamily(fam.target, fam.legs).clamped_key(
-                coverage.mult_cap
-            ) == _eager_clamped_key(key, coverage.mult_cap)
+            doms = fam.domains()
+            for cap in {1, 2, coverage.mult_cap}:
+                for repeated in (doms, doms[::-1] * 3):
+                    assert (fam.target, clamped_multiset(repeated, cap)) == (
+                        _eager_clamped_key(
+                            (fam.target, tuple(sorted(repeated))), cap
+                        )
+                    )
             assert hash(CoverFamily(fam.target, fam.legs)) == hash(key)
             assert CoverFamily(fam.target, fam.legs[::-1]) == fam
             assert coverage.contains(CoverFamily(fam.target, fam.legs))
