@@ -182,20 +182,24 @@ class Coverage:
         remaining = [f for f in self.all_families() if f != fam]
         if len(remaining) == self.family_count():
             raise InvalidSpec(f"family {fam!r} is not assigned")
-        return Coverage(
-            self.site,
-            remaining,
-            flavor=self.flavor,
-            join_rule=False,
-            quantale=self.quantale,
-            mult_cap=self.mult_cap,
-        )
+        return self._explicit_copy(remaining)
 
     def with_family(self, fam: CoverFamily) -> "Coverage":
         """Explicit copy with one family added."""
+        return self._explicit_copy(list(self.all_families()) + [fam])
+
+    def _explicit_copy(self, families) -> "Coverage":
+        if self.components is not None:
+            # membership would become the clamped multisets of the
+            # positional pairings the product assigns
+            raise InvalidSpec(
+                "a product coverage has no explicit copy: its membership is"
+                " the two-marginal rule, which no list of families"
+                " reproduces; edit a component and take the product again"
+            )
         return Coverage(
             self.site,
-            list(self.all_families()) + [fam],
+            families,
             flavor=self.flavor,
             join_rule=False,
             quantale=self.quantale,

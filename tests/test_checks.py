@@ -1,8 +1,8 @@
-"""The check driver: `drain` stops at the first failure, `collect` keeps all."""
+"""The check driver: `drain` and `drain_each` stop at the first failure, `collect` keeps all."""
 
 import pytest
 
-from qsheaf.checks import CheckEntry, collect, drain
+from qsheaf.checks import CheckEntry, collect, drain, drain_each
 
 
 def instances(outcomes, seen):
@@ -45,3 +45,22 @@ def test_collect_returns_every_witness_in_order_uncounted():
 
 def test_collect_is_empty_when_every_instance_holds():
     assert collect("law", iter([None, None])) == []
+
+
+def test_drain_each_stops_each_law_at_its_own_first_failure():
+    seen = []
+    rows = [(None, None), (None, "b1"), (None, "b2"), ("a3", None), (None, None)]
+    assert drain_each(("a", "b"), instances(rows, seen)) == [
+        CheckEntry("a", False, 4, "a3"),
+        CheckEntry("b", False, 2, "b1"),
+    ]
+    # not resumed once every law has failed
+    assert seen == [0, 1, 2, 3]
+
+
+def test_drain_each_counts_every_instance_for_a_law_that_holds():
+    rows = iter([(None, None), ("a1", None), (None, None)])
+    assert drain_each(("a", "b"), rows) == [
+        CheckEntry("a", False, 2, "a1"),
+        CheckEntry("b", True, 3),
+    ]

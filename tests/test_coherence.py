@@ -7,7 +7,7 @@ from qsheaf.coverage import (
     canonical_quantale_coverage,
     check_strong_prelopology,
 )
-from qsheaf.finset import FinMap
+from qsheaf.finset import EMPTY, FinMap
 from qsheaf.moncat import (
     FinSetCategory,
     Mor,
@@ -439,6 +439,98 @@ def test_mistyped_unitor_exceptions_land_at_recorded_instances(keyword):
     ] == expected
 
 
+_LAWFUL = FinSetCategory(max_size=2)
+
+
+def _nested(f):
+    """Whether f starts at a nested tensor (x(x)a)(x)(x(x)b), not at a(x)b."""
+    return all(str(p).startswith("((") for p in f.dom)
+
+
+def empty_small_equalizer(c, f, g):
+    # the true equalizer on the nested domain, the empty subobject on a(x)b
+    if _nested(f):
+        return _LAWFUL.equalizer(f, g)
+    return EMPTY, Mor(EMPTY, f.dom, FinMap(EMPTY, f.dom, {}))
+
+
+def raising_small_equalizer(c, f, g):
+    if not _nested(f) and len(f.dom) >= 2:
+        raise RuntimeError(f"no equalizer on {f.dom!r}")
+    return _LAWFUL.equalizer(f, g)
+
+
+def _passing_except_compare(compare):
+    return [
+        ("braid-projections-1", True, 9, None),
+        ("braid-projections-2", True, 9, None),
+        ("braid-unitors", True, 6, None),
+        ("pentagon", True, 81, None),
+        ("ppb-equalizing", True, 177, None),
+        compare,
+        ("proj-assoc-left", True, 27, None),
+        ("proj-assoc-right", True, 27, None),
+        ("proj-middle-deletion", True, 27, None),
+        ("proj-tensor-factor-1", True, 27, None),
+        ("proj-tensor-factor-2", True, 27, None),
+        ("triangle", True, 9, None),
+        ("unit-terminal", True, 3, None),
+        ("unitor-associator-left", True, 9, None),
+        ("unitor-associator-right", True, 9, None),
+    ]
+
+
+# (name, ok, checked, witness) of every appendix entry on
+# FinSetCategory(max_size=2) at size bound 2 when only the base equalizer
+# on a(x)b is broken: `ppb-equalizing` holds throughout, so these pin
+# where the comparison law fails on its own, and that an exception in
+# the comparison work fails that law alone.
+RECORDED_COMPARE_ONLY_ENTRIES = {
+    "empty": (empty_small_equalizer, _passing_except_compare(
+        ("ppb-tensor-compare", False, 74,
+         "X={s0}, f:{s0}->{s0}, g:{s0}->{s0}: no factorization through tensored equalizer"),
+    )),
+    "raising": (raising_small_equalizer, _passing_except_compare(
+        ("ppb-tensor-compare", False, 20,
+         "exception: no equalizer on FinSetObj({(s0,s0),(s0,s1)})"),
+    )),
+}
+
+
+@pytest.mark.parametrize("kind", RECORDED_COMPARE_ONLY_ENTRIES)
+def test_compare_only_failures_land_at_recorded_instances(kind):
+    broken, expected = RECORDED_COMPARE_ONLY_ENTRIES[kind]
+    c = FinSetCategory(max_size=2, equalizer_fn=broken)
+    report = verify_appendix_suite(c, size_bound=2)
+    assert [
+        (e.name, e.ok, e.checked, e.witness) for e in report.entries
+    ] == expected
+
+
+def test_fail_fast_stops_between_the_pseudo_pullback_laws():
+    # `ppb-equalizing` fails first in law order, so the comparison law,
+    # decided on the same walk, is left out of the report
+    c = FinSetCategory(max_size=2, equalizer_fn=trivial_equalizer)
+    report = verify_appendix_suite(c, size_bound=2, fail_fast=True)
+    assert [(e.name, e.ok, e.checked, e.witness) for e in report.entries] == [
+        ("braid-projections-1", True, 9, None),
+        ("braid-projections-2", True, 9, None),
+        ("braid-unitors", True, 6, None),
+        ("pentagon", True, 81, None),
+        ("ppb-equalizing", False, 76,
+         "X={s0}, f:{s0}->{s0,s1}, g:{s0}->{s0,s1}: at ((s0,s0),(s0,s0)): (s0,s0) vs (s0,s1)"),
+        ("proj-assoc-left", True, 27, None),
+        ("proj-assoc-right", True, 27, None),
+        ("proj-middle-deletion", True, 27, None),
+        ("proj-tensor-factor-1", True, 27, None),
+        ("proj-tensor-factor-2", True, 27, None),
+        ("triangle", True, 9, None),
+        ("unit-terminal", True, 3, None),
+        ("unitor-associator-left", True, 9, None),
+        ("unitor-associator-right", True, 9, None),
+    ]
+
+
 class TestStructureMapTables:
     def test_structure_maps_are_built_once(self):
         c = FinSetCategory(max_size=2)
@@ -476,13 +568,31 @@ class TestStructureMapTables:
                            braiding_fn=counting_braiding)
         assert verify_appendix_suite(c, size_bound=2).ok
         # the counts of the unmemoized suite
-        assert calls == {"associator": 594, "braiding": 25}
+        assert calls == {"associator": 567, "braiding": 25}
         calls.update(associator=0, braiding=0)
         assert verify_monoidal_laws(c).ok
         assert calls == {"associator": 495, "braiding": 100}
         calls.update(associator=0, braiding=0)
         assert verify_appendix_suite(ProductCategory(c, luk3_site()), size_bound=1).ok
-        assert calls == {"associator": 7884, "braiding": 85}
+        assert calls == {"associator": 7668, "braiding": 85}
+
+    def test_pseudo_pullback_laws_share_one_walk(self):
+        # one equalizer on the nested domain and one on a (x) b per
+        # instance: a second walk for the comparison law would make 531
+        lawful = FinSetCategory(max_size=2)
+        calls = []
+
+        def counting_equalizer(c, f, g):
+            calls.append(f.dom)
+            return lawful.equalizer(f, g)
+
+        c = FinSetCategory(max_size=2, equalizer_fn=counting_equalizer)
+        report = verify_appendix_suite(c, size_bound=2)
+        assert report.ok, report.summary()
+        by_name = {e.name: e for e in report.entries}
+        assert by_name["ppb-equalizing"].checked == 177
+        assert by_name["ppb-tensor-compare"].checked == 177
+        assert len(calls) == 354
 
 
 def test_passing_checks_format_no_witness(monkeypatch):

@@ -363,6 +363,22 @@ class TestProductCoverage:
             f.key() for f in direct.all_families()
         }
 
+    def test_product_has_no_explicit_copy(self):
+        # an explicit copy would clamp the positional pairings instead of
+        # testing marginals: one without the empty cover of (0,0) fails
+        # composition and no longer covers (1,h) by (0,h) and (1,0)
+        _, _, left = make("chain_locale", 2)
+        _, _, right = make("lukasiewicz_chain", 3)
+        prod = product_coverage(left, right)
+        empty = CoverFamily(("0", "0"), [])
+        assert empty in prod.families(("0", "0"))
+        with pytest.raises(InvalidSpec, match="two-marginal rule"):
+            prod.without_family(empty)
+        with pytest.raises(InvalidSpec, match="two-marginal rule"):
+            prod.with_family(family(prod.site, [("1", "h")], ("1", "h")))
+        assert prod.covers(("1", "h"), [("0", "h"), ("1", "0")])
+        assert check_prelopology(prod).ok
+
     def test_product_rejects_unverified_components(self):
         q, site, cov = make("lukasiewicz_chain", 3)
         broken = cov.without_family(family(site, ["0", "h"], "h"))
