@@ -16,7 +16,12 @@ Flavors, cumulative:
 - weak prelopology: isomorphism singletons, closure under composition,
   tensor stability on both sides;
 - prelopology: plus pseudo-pullback stability on both sides;
-- strong prelopology: plus the projection-factorization searches;
+- strong prelopology: plus the projection factorizations l and r for
+  every leg pair and every v. On a thin site every diagram commutes, so
+  l exists exactly when its domain, the pseudo-pullback of the legs
+  tensored with v on the left, lies below v tensored with the legs'
+  pseudo-pullback, and r likewise on the right: one order test each
+  (`ThinCategory.l_r_factor`);
 - pretopology: the cartesian-site variant with genuine pullbacks.
 """
 
@@ -32,12 +37,7 @@ from .errors import (
     NotSemicartesian,
     UnverifiedInput,
 )
-from .moncat import (
-    ThinCategory,
-    canon,
-    exists_l_r_factorizations,
-    pseudo_pullback,
-)
+from .moncat import ThinCategory, canon, pseudo_pullback
 from .quantale import Quantale
 
 
@@ -430,16 +430,17 @@ def _projection_factorizations(cov: Coverage):
     for fam in cov.all_families():
         if not fam.legs:
             continue
+        pairs = list(itertools.product(enumerate(fam.legs), repeat=2))
         for v in site.objects():
-            ok, details = exists_l_r_factorizations(site, fam.legs, v)
-            if ok:
-                yield None
-            else:
-                bad = next(
-                    d["pair"] for d in details
-                    if d["l"] is None or d["r"] is None
-                )
-                yield f"{fam!r} with {canon(v)}: no l/r for leg pair {bad}"
+            # every pair is decided, also after a bad one, so that an
+            # error from a later pair still propagates
+            bad = [
+                (i, j) for (i, fi), (j, fj) in pairs
+                if not site.l_r_factor(fi, fj, v)
+            ]
+            yield None if not bad else (
+                f"{fam!r} with {canon(v)}: no l/r for leg pair {bad[0]}"
+            )
 
 
 def _pullback_stability(cov: Coverage):

@@ -9,7 +9,6 @@ from .core import (
     PseudoPullback,
     ThinCategory,
     canon,
-    exists_l_r_factorizations,
     is_semicartesian,
     projection1,
     projection2,
@@ -26,7 +25,6 @@ __all__ = [
     "PseudoPullback",
     "ThinCategory",
     "canon",
-    "exists_l_r_factorizations",
     "is_semicartesian",
     "projection1",
     "projection2",

@@ -11,9 +11,10 @@ Three instance families share one interface:
 - `ProductCategory`: the componentwise pairing of two instances.
 
 On top of the interface: projections out of a tensor, pseudo-pullbacks
-(the equalizer of the two projections pushed along a cospan), the
-preservation question for tensoring against equalizers, and the
-factorization searches used by the coverage axioms.
+(the equalizer of the two projections pushed along a cospan) and the
+preservation question for tensoring against equalizers. A thin site
+also answers the projection-factorization question of the strong
+prelopology axiom (`ThinCategory.l_r_factor`), by one order test.
 """
 
 from __future__ import annotations
@@ -96,7 +97,6 @@ class Mor:
 class MonoidalCategory:
     """Interface shared by the three instance families."""
 
-    is_thin = False
     is_cartesian = False
     unit_obj = None
 
@@ -151,16 +151,6 @@ class MonoidalCategory:
         """The unique u with m . u = h, or None."""
         raise NotImplementedError
 
-    def solve(self, dom, cod, constraints, limit=None) -> list:
-        """All f: dom -> cod with post . f = target for each (post, target)."""
-        out = []
-        for f in self.hom(dom, cod):
-            if all(self.compose(post, f) == target for post, target in constraints):
-                out.append(f)
-                if limit is not None and len(out) >= limit:
-                    break
-        return out
-
     def _check_composable(self, g, f):
         if f.cod != g.dom:
             raise DomainMismatch(
@@ -193,12 +183,9 @@ class ThinCategory(MonoidalCategory):
     names and order, the strictly comparable pairs, one `Mor` per
     comparable pair (every arrow the site returns comes from this
     table), one `PseudoPullback` per ``(a.dom, b.dom, cod)``, one
-    ``(l_sols, r_sols)`` factorization search result per
-    ``(a.dom, b.dom, cod, v)`` and one representable presheaf ``y(u)``
-    per object.
+    `l_r_factor` answer per ``(a.dom, b.dom, cod, v)`` and one
+    representable presheaf ``y(u)`` per object.
     """
-
-    is_thin = True
 
     def __init__(self, elements, leq_pairs, mul, unit=None, components=None):
         self._elements = list(elements)
@@ -240,7 +227,7 @@ class ThinCategory(MonoidalCategory):
         self._yoneda = {}  # u -> the presheaf y(u), built by presheaf.yoneda
         self._arrows = {}  # (a, b) -> the one arrow a -> b, made at first use
         self._pullbacks = {}  # (a.dom, b.dom, cod) -> PseudoPullback
-        self._factorizations = {}  # (a.dom, b.dom, cod, v) -> (l_sols, r_sols)
+        self._factorizations = {}  # (a.dom, b.dom, cod, v) -> l_r_factor answer
 
     @classmethod
     def from_quantale(cls, q):
@@ -310,6 +297,32 @@ class ThinCategory(MonoidalCategory):
         if ppb is None:
             ppb = pseudo_pullback(self, a, b)
         return ppb.obj
+
+    def l_r_factor(self, fi: Mor, fj: Mor, v) -> bool:
+        """Whether the maps l and r of the strong prelopology exist for a leg pair.
+
+        With ``base`` the pseudo-pullback of ``(fi, fj)``, l runs from the
+        pseudo-pullback of ``(id_v (x) fi, id_v (x) fj)`` into
+        ``v (x) base`` and r from that of ``(fi (x) id_v, fj (x) id_v)``
+        into ``base (x) v``; each must commute with both projections. On a
+        thin site every diagram commutes, so each exists exactly when its
+        domain lies below its codomain. The answer depends only on
+        ``(fi.dom, fj.dom, cod, v)`` and is kept under that key.
+        """
+        if fi.cod != fj.cod:
+            raise CodomainMismatch("legs must share a codomain")
+        key = (fi.dom, fj.dom, fi.cod, v)
+        found = self._factorizations.get(key)
+        if found is None:
+            id_v = self.identity(v)
+            base = self.overlap(fi, fj)
+            left = self.overlap(self.tensor_mor(id_v, fi), self.tensor_mor(id_v, fj))
+            right = self.overlap(self.tensor_mor(fi, id_v), self.tensor_mor(fj, id_v))
+            found = self.leq(left, self.tensor_obj(v, base)) and self.leq(
+                right, self.tensor_obj(base, v)
+            )
+            self._factorizations[key] = found
+        return found
 
     def _mor(self, a, b) -> Mor:
         """The site's one arrow a -> b from its arrow table."""
@@ -566,30 +579,7 @@ class FinSetCategory(MonoidalCategory):
             if val not in preimage:
                 return None
             assignment[x] = preimage[val]
-        u = Mor(h.dom, m.dom, FinMap(h.dom, m.dom, assignment))
-        if self.compose(m, u) != h:
-            return None
-        return u
-
-    def solve(self, dom, cod, constraints, limit=None):
-        """Pointwise fiber search; exhaustive but never materializes hom."""
-        fibers = []
-        for x in dom:
-            cands = [
-                w
-                for w in cod
-                if all(post.data(w) == target.data(x) for post, target in constraints)
-            ]
-            if not cands:
-                return []
-            fibers.append((x, cands))
-        out = []
-        for combo in itertools.product(*(c for _, c in fibers)):
-            assignment = {x: w for (x, _), w in zip(fibers, combo)}
-            out.append(Mor(dom, cod, FinMap(dom, cod, assignment)))
-            if limit is not None and len(out) >= limit:
-                break
-        return out
+        return Mor(h.dom, m.dom, FinMap(h.dom, m.dom, assignment))
 
     def __repr__(self):
         return f"FinSetCategory(max_size={self.max_size})"
@@ -616,7 +606,6 @@ class ProductCategory(MonoidalCategory):
     def __init__(self, c1: MonoidalCategory, c2: MonoidalCategory):
         self.c1 = c1
         self.c2 = c2
-        self.is_thin = c1.is_thin and c2.is_thin
         self.is_cartesian = c1.is_cartesian and c2.is_cartesian
         if c1.unit_obj is not None and c2.unit_obj is not None:
             self.unit_obj = (c1.unit, c2.unit)
@@ -706,23 +695,6 @@ class ProductCategory(MonoidalCategory):
             return None
         return self._pair(u1, u2)
 
-    def solve(self, dom, cod, constraints, limit=None):
-        sols1 = self.c1.solve(
-            dom[0], cod[0], [(p.data[0], t.data[0]) for p, t in constraints]
-        )
-        if not sols1:
-            return []
-        sols2 = self.c2.solve(
-            dom[1], cod[1], [(p.data[1], t.data[1]) for p, t in constraints]
-        )
-        out = []
-        for m1 in sols1:
-            for m2 in sols2:
-                out.append(self._pair(m1, m2))
-                if limit is not None and len(out) >= limit:
-                    return out
-        return out
-
     def __repr__(self):
         return f"ProductCategory({self.c1!r}, {self.c2!r})"
 
@@ -799,83 +771,10 @@ def tensor_preserves_equalizers(c: MonoidalCategory, u, f: Mor, g: Mor):
     return c.is_iso(gamma), gamma
 
 
-def exists_l_r_factorizations(c: MonoidalCategory, legs, v):
-    """Search for the two tensor-stability factorizations for each leg pair.
-
-    For legs f_i, f_j into a common object and any v, looks for
-    l from the pseudo-pullback of (id_v (x) f_i, id_v (x) f_j) into
-    v (x) (pseudo-pullback of f_i, f_j) commuting with both projections,
-    and the mirror-image r. Returns (ok, details).
-
-    On a thin site the search for one leg pair depends only on
-    ``(f_i.dom, f_j.dom, cod, v)``, and the site keeps its result in a
-    table under that key, built at first use. Other instances search on
-    every call.
-    """
-    legs = list(legs)
-    if not legs:
-        return True, []
-    target_cod = legs[0].cod
-    if any(m.cod != target_cod for m in legs):
-        raise CodomainMismatch("legs must share a codomain")
-    details = []
-    ok = True
-    for i, j in itertools.product(range(len(legs)), repeat=2):
-        l_sols, r_sols = _l_r_solutions(c, legs[i], legs[j], v)
-        found = bool(l_sols) and bool(r_sols)
-        ok = ok and found
-        details.append(
-            {
-                "pair": (i, j),
-                "l": l_sols[0] if l_sols else None,
-                "r": r_sols[0] if r_sols else None,
-            }
-        )
-    return ok, details
-
-
-def _l_r_solutions(c: MonoidalCategory, fi: Mor, fj: Mor, v):
-    """``(l_sols, r_sols)`` for one leg pair, from the table on a thin site."""
-    if not isinstance(c, ThinCategory):
-        return _l_r_search(c, fi, fj, v)
-    key = (fi.dom, fj.dom, fi.cod, v)
-    sols = c._factorizations.get(key)
-    if sols is None:
-        sols = c._factorizations[key] = _l_r_search(c, fi, fj, v)
-    return sols
-
-
-def _l_r_search(c: MonoidalCategory, fi: Mor, fj: Mor, v):
-    """The l and r solutions, at most one each, for the leg pair (fi, fj)."""
-    id_v = c.identity(v)
-    base = pseudo_pullback(c, fi, fj)
-    left = pseudo_pullback(c, c.tensor_mor(id_v, fi), c.tensor_mor(id_v, fj))
-    l_sols = c.solve(
-        left.obj,
-        c.tensor_obj(v, base.obj),
-        [
-            (c.tensor_mor(id_v, base.p1), left.p1),
-            (c.tensor_mor(id_v, base.p2), left.p2),
-        ],
-        limit=1,
-    )
-    right = pseudo_pullback(c, c.tensor_mor(fi, id_v), c.tensor_mor(fj, id_v))
-    r_sols = c.solve(
-        right.obj,
-        c.tensor_obj(base.obj, v),
-        [
-            (c.tensor_mor(base.p1, id_v), right.p1),
-            (c.tensor_mor(base.p2, id_v), right.p2),
-        ],
-        limit=1,
-    )
-    return l_sols, r_sols
-
-
 def trivial_equalizer(instance, f, g):
     """A deliberately wrong equalizer: the whole object with identity.
 
-    Used to build adversarial instances on which the projection
-    factorizations genuinely fail to exist.
+    Used to build adversarial instances on which the pseudo-pullback
+    laws of the appendix suite genuinely fail.
     """
     return f.dom, instance.identity(f.dom)

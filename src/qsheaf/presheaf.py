@@ -34,7 +34,7 @@ from .moncat import ThinCategory, is_semicartesian
 
 
 def _require_thin(site):
-    if not getattr(site, "is_thin", False):
+    if not isinstance(site, ThinCategory):
         raise NotThinSite("presheaf machinery needs a thin site")
 
 
@@ -121,6 +121,7 @@ class PresheafValidation(CheckReport):
 
 
 def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
+    _require_thin(site)
     if not isinstance(raw, dict) or not isinstance(raw.get("at"), dict):
         raise InvalidSpec("presheaf spec needs an 'at' table")
     if not isinstance(raw.get("res", {}), dict):
@@ -202,12 +203,14 @@ def yoneda(site: ThinCategory, u) -> Presheaf:
 
 
 def terminal_presheaf(site: ThinCategory) -> Presheaf:
+    _require_thin(site)
     at = {u: ["*"] for u in site.objects()}
     res = {vu: {"*": "*"} for vu in site.pairs()}
     return Presheaf(site, at, res)
 
 
 def empty_presheaf(site: ThinCategory) -> Presheaf:
+    _require_thin(site)
     at = {u: [] for u in site.objects()}
     res = {vu: {} for vu in site.pairs()}
     return Presheaf(site, at, res)

@@ -1,10 +1,15 @@
-"""Source guards: every imported name is used, and no module asserts.
+"""Source guards: every imported name is used, every export exists, and
+no module asserts.
 
 An `assert` vanishes under `python -O`, and an `AssertionError` would
 reach the CLI as malformed input; internal checks raise `InternalDefect`.
+A name left in a package's `__all__` after its definition is deleted
+breaks `from package import *`.
 """
 
 import ast
+import importlib
+import types
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,11 @@ import qsheaf
 
 PACKAGE = Path(qsheaf.__file__).parent
 SOURCES = sorted(PACKAGE.rglob("*.py"))
+PACKAGES = [
+    ".".join((PACKAGE.name, *path.parent.relative_to(PACKAGE).parts))
+    for path in SOURCES
+    if path.name == "__init__.py"
+]
 
 
 def unused_imports(tree) -> list:
@@ -63,3 +73,21 @@ def test_guard_sees_an_assert():
 )
 def test_no_asserts(path):
     assert assert_lines(ast.parse(path.read_text())) == []
+
+
+def stale_exports(module) -> list:
+    """Names in a module's `__all__` that the module does not define."""
+    return [
+        name for name in getattr(module, "__all__", ()) if not hasattr(module, name)
+    ]
+
+
+def test_guard_sees_a_stale_export():
+    module = types.ModuleType("pkg")
+    exec("__all__ = ['kept', 'gone']\nkept = 1\n", module.__dict__)
+    assert stale_exports(module) == ["gone"]
+
+
+@pytest.mark.parametrize("name", PACKAGES)
+def test_no_stale_exports(name):
+    assert stale_exports(importlib.import_module(name)) == []

@@ -1,4 +1,9 @@
-"""Monoidal instances, projections, pseudo-pullbacks, factorizations."""
+"""Monoidal instances, projections, pseudo-pullbacks, factorizations.
+
+The l/r projection factorizations of the strong prelopology are asked
+only of thin sites, where `ThinCategory.l_r_factor` answers them by an
+order test; `tests/test_coverage.py` compares it with the generic search.
+"""
 
 import itertools
 
@@ -12,7 +17,6 @@ from qsheaf.moncat import (
     Mor,
     ProductCategory,
     ThinCategory,
-    exists_l_r_factorizations,
     is_semicartesian,
     projection1,
     projection2,
@@ -210,19 +214,6 @@ class TestFinSet:
                         count += 1
         assert count == 75  # 25 parallel pairs x 3 choices of U
 
-    def test_solve_agrees_with_filtering(self):
-        c = fs()
-        a = FinSetObj(["a1", "a2"])
-        b = FinSetObj(["b1", "b2"])
-        t = FinSetObj(["t1", "t2"])
-        post = Mor(b, t, FinMap(b, t, {"b1": "t1", "b2": "t1"}))
-        target = Mor(a, t, FinMap(a, t, {"a1": "t1", "a2": "t1"}))
-        fast = c.solve(a, b, [(post, target)])
-        slow = [
-            m for m in c.hom(a, b) if c.compose(post, m) == target
-        ]
-        assert sorted(m.key() for m in fast) == sorted(m.key() for m in slow)
-
     def test_factor_through_mono_finds_unique_map(self):
         c = fs()
         sub = FinSetObj(["a1"])
@@ -232,6 +223,28 @@ class TestFinSet:
         h_out = Mor(sub, amb, FinMap(sub, amb, {"a1": "a2"}))
         assert c.factor_through_mono(m, h_in) is not None
         assert c.factor_through_mono(m, h_out) is None
+
+    def test_factor_through_mono_matches_the_composite_check(self):
+        def checked(c, m, h):
+            # the preimage factorization, kept only when m . u == h
+            preimage = {}
+            for y in m.dom:
+                preimage.setdefault(m.data(y), y)
+            if any(h.data(x) not in preimage for x in h.dom):
+                return None
+            u = Mor(h.dom, m.dom, FinMap(
+                h.dom, m.dom, {x: preimage[h.data(x)] for x in h.dom}
+            ))
+            return u if c.compose(m, u) == h else None
+
+        c = FinSetCategory(max_size=2)
+        seen = set()
+        for a, b, cod in itertools.product(c.objects(), repeat=3):
+            for m, h in itertools.product(c.hom(a, cod), c.hom(b, cod)):
+                expected = checked(c, m, h)
+                assert c.factor_through_mono(m, h) == expected
+                seen.add((m.data.is_injective(), expected is not None))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_empty_set_edge_cases(self):
         c = fs()
@@ -305,54 +318,13 @@ class TestFactorizations:
         c = luk3_site()
         legs = [c.arrow("h", "1"), c.arrow("1", "1")]
         for v in c.objects():
-            ok, details = exists_l_r_factorizations(c, legs, v)
-            assert ok
-            assert len(details) == 4
-            assert all(d["l"] is not None and d["r"] is not None for d in details)
-
-    def test_finset_lawful_instance_factors(self):
-        c = fs()
-        u = FinSetObj(["u1", "u2"])
-        ui = FinSetObj(["a1", "a2"])
-        legs = [
-            Mor(ui, u, FinMap(ui, u, {"a1": "u1", "a2": "u2"})),
-            Mor(ui, u, FinMap(ui, u, {"a1": "u1", "a2": "u1"})),
-        ]
-        v = FinSetObj(["s0", "s1"])
-        ok, details = exists_l_r_factorizations(c, legs, v)
-        assert ok
-        # the found l is the pullback-induced relabeling (v,(x,y)) pattern
-        l = details[0]["l"]
-        for z in l.dom:
-            image = l.data(z)
-            assert image.startswith("(")
-
-    def test_trivialized_equalizer_kills_factorization(self):
-        c = FinSetCategory(max_size=3, equalizer_fn=trivial_equalizer)
-        u = FinSetObj(["u1", "u2"])
-        ui = FinSetObj(["a1", "a2"])
-        legs = [
-            Mor(ui, u, FinMap(ui, u, {"a1": "u1", "a2": "u2"})),
-            Mor(ui, u, FinMap(ui, u, {"a1": "u1", "a2": "u1"})),
-        ]
-        v = FinSetObj(["s0", "s1"])
-        ok, details = exists_l_r_factorizations(c, legs, v)
-        assert not ok
-        assert any(d["l"] is None for d in details)
-
-    def test_empty_cover_is_vacuously_fine(self):
-        ok, details = exists_l_r_factorizations(fs(), [], FinSetObj(["s0"]))
-        assert ok
-        assert details == []
+            for fi, fj in itertools.product(legs, repeat=2):
+                assert c.l_r_factor(fi, fj, v)
 
     def test_mismatched_legs_rejected(self):
-        c = fs()
-        a = FinSetObj(["a1"])
-        b = FinSetObj(["b1"])
-        with pytest.raises(CodomainMismatch):
-            exists_l_r_factorizations(
-                c, [c.identity(a), c.identity(b)], FinSetObj(["s0"])
-            )
+        c = luk3_site()
+        with pytest.raises(CodomainMismatch, match="legs must share a codomain"):
+            c.l_r_factor(c.arrow("h", "1"), c.arrow("h", "h"), c.unit)
 
 
 class TestMorSanity:

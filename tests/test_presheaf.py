@@ -17,10 +17,11 @@ from qsheaf.errors import (
     InvalidSpec,
     MissingRestriction,
     NotSemicartesian,
+    NotThinSite,
     SiteMismatch,
 )
 from qsheaf.finset import FinMap, FinSetObj
-from qsheaf.moncat import ThinCategory
+from qsheaf.moncat import FinSetCategory, ProductCategory, ThinCategory
 from qsheaf.presheaf import (
     Presheaf,
     PresheafMorphism,
@@ -248,6 +249,26 @@ def composite_is_natural(m):
         == finset.compose(m.component(v), m.src.restrict(v, u))
         for v, u in m.src.site.pairs()
     )
+
+
+NON_THIN_SITES = {
+    "finset": FinSetCategory,
+    "product-of-thin": lambda: ProductCategory(luk3_site()[1], luk3_site()[1]),
+}
+CONSTRUCTORS = {
+    "Presheaf": lambda site: Presheaf(site, {}, {}),
+    "parse_presheaf": lambda site: parse_presheaf(site, {"at": {}}),
+    "yoneda": lambda site: yoneda(site, site.unit),
+    "terminal_presheaf": terminal_presheaf,
+    "empty_presheaf": empty_presheaf,
+}
+
+
+@pytest.mark.parametrize("site", NON_THIN_SITES)
+@pytest.mark.parametrize("construct", CONSTRUCTORS)
+def test_presheaves_need_a_thin_site(construct, site):
+    with pytest.raises(NotThinSite):
+        CONSTRUCTORS[construct](NON_THIN_SITES[site]())
 
 
 class TestMorphisms:
