@@ -159,6 +159,15 @@ def _read_json(path: str, report: RunReport, role: str):
         raise _BadInput from exc
 
 
+def _require_non_negative(args, report: RunReport, *options) -> None:
+    """Refuse a negative value of any of the named count options."""
+    for option in options:
+        value = getattr(args, option.replace("-", "_"))
+        if value is not None and value < 0:
+            report.add(option, False, f"--{option} must not be negative, got {value}")
+            raise _BadInput
+
+
 def _quantale_or_fail(raw, report: RunReport, role: str) -> Quantale:
     try:
         outcome = validate_quantale(raw)
@@ -318,6 +327,7 @@ def _cmd_check_sheaf(args, report: RunReport, rng) -> int:
 
 
 def _cmd_sheafify(args, report: RunReport, rng) -> int:
+    _require_non_negative(args, report, "max-iter", "certify-battery")
     site, cov, f = _load_inputs(args, report)
     result = sheafify(f, cov, max_iter=args.max_iter)
     report.configuration["iterations"] = result.iterations
@@ -386,6 +396,7 @@ def _cmd_sub(args, report: RunReport, rng) -> int:
 
 
 def _cmd_verify_appendix(args, report: RunReport, rng) -> int:
+    _require_non_negative(args, report, "size-bound")
     name = args.instance
     bound = args.size_bound
     if name == "finset":

@@ -31,13 +31,12 @@ import itertools
 
 from .checks import CheckReport, drain
 from .errors import (
-    InternalDefect,
     InvalidSpec,
     NotCartesianSite,
     NotSemicartesian,
     UnverifiedInput,
 )
-from .moncat import ThinCategory, canon, pseudo_pullback
+from .moncat import ThinCategory, canon, pseudo_pullback, require_thin
 from .quantale import Quantale
 
 
@@ -123,8 +122,7 @@ class Coverage:
 
     def __init__(self, site: ThinCategory, assign, flavor="prelopology",
                  join_rule=False, quantale=None, mult_cap=2, components=None):
-        if not isinstance(site, ThinCategory):
-            raise InternalDefect(f"a coverage needs a thin site, not {site!r}")
+        require_thin(site)
         self.site = site
         self.flavor = flavor
         self.join_rule = join_rule
@@ -326,7 +324,7 @@ def parse_coverage(site: ThinCategory, raw: dict, quantale=None) -> Coverage:
 def product_coverage(left: Coverage, right: Coverage) -> Coverage:
     """Pair families positionally; membership is the two marginal tests."""
     for cov in (left, right):
-        if not check_prelopology(cov).ok:
+        if not check_flavor(cov, "prelopology").ok:
             raise UnverifiedInput(
                 "product coverage needs verified prelopology components"
             )
@@ -471,7 +469,11 @@ _AXIOMS = {
 }
 
 
-def _check(cov: Coverage, flavor: str) -> CheckReport:
+def check_flavor(cov: Coverage, flavor=None) -> CheckReport:
+    """Check every axiom of `flavor`, by default the coverage's own."""
+    flavor = flavor or cov.flavor
+    if flavor not in _AXIOMS:
+        raise InvalidSpec(f"unknown coverage flavor {flavor!r}")
     if flavor == "pretopology" and not cov.site.is_cartesian:
         raise NotCartesianSite(
             "pretopology checks need tensor = categorical product"
@@ -480,26 +482,3 @@ def _check(cov: Coverage, flavor: str) -> CheckReport:
         f"coverage flavor check: {flavor}",
         [drain(name, axiom(cov)) for name, axiom in _AXIOMS[flavor]],
     )
-
-
-def check_weak_prelopology(cov: Coverage) -> CheckReport:
-    return _check(cov, "weak_prelopology")
-
-
-def check_prelopology(cov: Coverage) -> CheckReport:
-    return _check(cov, "prelopology")
-
-
-def check_strong_prelopology(cov: Coverage) -> CheckReport:
-    return _check(cov, "strong_prelopology")
-
-
-def check_pretopology(cov: Coverage) -> CheckReport:
-    return _check(cov, "pretopology")
-
-
-def check_flavor(cov: Coverage, flavor=None) -> CheckReport:
-    flavor = flavor or cov.flavor
-    if flavor not in _AXIOMS:
-        raise InvalidSpec(f"unknown coverage flavor {flavor!r}")
-    return _check(cov, flavor)

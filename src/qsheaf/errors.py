@@ -42,7 +42,7 @@ class UnverifiedInput(QsheafError):
 
 
 class NotThinSite(QsheafError):
-    """Presheaf machinery only runs over thin (at most one arrow) sites."""
+    """Coverages and presheaves exist only on thin (at most one arrow) sites."""
 
 
 class SiteMismatch(QsheafError):

@@ -1,14 +1,14 @@
-"""Finite sets with chosen limits and colimits.
+"""Finite sets and maps, with the constructions the program uses.
 
 Objects are finite sets of string or integer labels, kept in a
-canonical sorted order. Maps are total assignments. Each construction
-(equalizer, coequalizer, binary product, pullback, finite coproduct)
-returns the constructed object together with its structure maps
-(`product_object` gives the product set alone); the universal
-properties are audited exhaustively in the test suite via `all_maps`.
+canonical sorted order. Maps are total assignments. `equalizer` returns
+the subset with its inclusion, `product_object` the set of pair labels,
+and `UnionFind` merges labels into classes named after their least
+member; the universal properties are audited exhaustively in the test
+suite via `all_maps`.
 
 Constructed labels are strings: pairs become "(a,b)", tagged copies
-become "i:a", quotient classes are named after their least member.
+become "i:a".
 """
 
 from __future__ import annotations
@@ -118,11 +118,6 @@ class FinMap:
     def is_bijective(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
-    def inverse(self) -> "FinMap":
-        if not self.is_bijective():
-            raise DomainMismatch(f"{self!r} is not invertible")
-        return FinMap(self.cod, self.dom, {y: x for x, y in self.assignment.items()})
-
 
 def identity(a: FinSetObj) -> FinMap:
     return FinMap(a, a, {x: x for x in a})
@@ -154,18 +149,14 @@ def tag_label(i: int, x) -> str:
     return f"{i}:{x}"
 
 
-def _check_parallel(f: FinMap, g: FinMap):
+def equalizer(f: FinMap, g: FinMap):
+    """Equalizer of a parallel pair: (subset object, inclusion map)."""
     if f.dom != g.dom:
         raise DomainMismatch(f"parallel pair needs equal domains: {f.dom!r}, {g.dom!r}")
     if f.cod != g.cod:
         raise CodomainMismatch(
             f"parallel pair needs equal codomains: {f.cod!r}, {g.cod!r}"
         )
-
-
-def equalizer(f: FinMap, g: FinMap):
-    """Equalizer of a parallel pair: (subset object, inclusion map)."""
-    _check_parallel(f, g)
     sub = FinSetObj([x for x in f.dom if f(x) == g(x)])
     return sub, FinMap(sub, f.dom, {x: x for x in sub})
 
@@ -192,24 +183,6 @@ class UnionFind:
             rx, ry = ry, rx
         self.parent[ry] = rx
 
-    def classes(self) -> dict:
-        """Map each item to its least-label representative."""
-        return {x: self.find(x) for x in self.parent}
-
-
-def coequalizer(f: FinMap, g: FinMap):
-    """Coequalizer of a parallel pair: (quotient object, projection map).
-
-    Classes are labeled by their least member.
-    """
-    _check_parallel(f, g)
-    uf = UnionFind(f.cod.elements)
-    for x in f.dom:
-        uf.union(f(x), g(x))
-    reps = uf.classes()
-    quo = FinSetObj(sorted(set(reps.values()), key=label_key))
-    return quo, FinMap(f.cod, quo, reps)
-
 
 def product_object(a: FinSetObj, b: FinSetObj) -> FinSetObj:
     """The set of pair labels "(x,y)" for x in a, y in b, without projections."""
@@ -217,39 +190,3 @@ def product_object(a: FinSetObj, b: FinSetObj) -> FinSetObj:
     if len(set(labels)) != len(labels):
         raise InvalidSpec("pair labels collide; use simpler element labels")
     return FinSetObj(labels)
-
-
-def product(a: FinSetObj, b: FinSetObj):
-    """Binary product with canonical pair labels: (object, proj1, proj2)."""
-    obj = product_object(a, b)
-    p1 = {pair_label(x, y): x for x in a for y in b}
-    p2 = {pair_label(x, y): y for x in a for y in b}
-    return obj, FinMap(obj, a, p1), FinMap(obj, b, p2)
-
-
-def pullback(f: FinMap, g: FinMap):
-    """Pullback of f: A -> C, g: B -> C: (object, to A, to B)."""
-    if f.cod != g.cod:
-        raise CodomainMismatch(f"pullback needs a cospan: {f.cod!r} != {g.cod!r}")
-    labels, p1, p2 = [], {}, {}
-    for x in f.dom:
-        for y in g.dom:
-            if f(x) == g(y):
-                lab = pair_label(x, y)
-                labels.append(lab)
-                p1[lab] = x
-                p2[lab] = y
-    obj = FinSetObj(labels)
-    return obj, FinMap(obj, f.dom, p1), FinMap(obj, g.dom, p2)
-
-
-def coproduct(objs: list):
-    """Finite coproduct with tagged labels: (object, list of injections)."""
-    labels = []
-    for i, a in enumerate(objs):
-        labels.extend(tag_label(i, x) for x in a)
-    obj = FinSetObj(labels)
-    injections = [
-        FinMap(a, obj, {x: tag_label(i, x) for x in a}) for i, a in enumerate(objs)
-    ]
-    return obj, injections

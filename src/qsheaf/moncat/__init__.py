@@ -13,6 +13,7 @@ from .core import (
     projection1,
     projection2,
     pseudo_pullback,
+    require_thin,
     tensor_preserves_equalizers,
     trivial_equalizer,
 )
@@ -29,6 +30,7 @@ __all__ = [
     "projection1",
     "projection2",
     "pseudo_pullback",
+    "require_thin",
     "tensor_preserves_equalizers",
     "trivial_equalizer",
     "verify_appendix_suite",

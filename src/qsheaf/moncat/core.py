@@ -29,6 +29,7 @@ from ..errors import (
     InternalDefect,
     InvalidSpec,
     NotSemicartesian,
+    NotThinSite,
     QsheafError,
 )
 from ..finset import FinMap, FinSetObj
@@ -410,6 +411,16 @@ class ThinCategory(MonoidalCategory):
     def __repr__(self):
         kind = "product thin" if self.components else "thin"
         return f"ThinCategory({kind}, {len(self._elements)} objects)"
+
+
+def require_thin(site):
+    """Raise `NotThinSite` unless `site` is a `ThinCategory`.
+
+    Coverages and presheaves exist only on thin sites; every constructor
+    of either calls this first.
+    """
+    if not isinstance(site, ThinCategory):
+        raise NotThinSite(f"coverages and presheaves need a thin site, not {site!r}")
 
 
 # ---------------------------------------------------------------------------

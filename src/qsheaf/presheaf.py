@@ -26,23 +26,17 @@ from .errors import (
     InvalidSpec,
     MissingRestriction,
     NotSemicartesian,
-    NotThinSite,
     SiteMismatch,
 )
 from .finset import FinMap, FinSetObj, UnionFind, label_key
-from .moncat import ThinCategory, is_semicartesian
-
-
-def _require_thin(site):
-    if not isinstance(site, ThinCategory):
-        raise NotThinSite("presheaf machinery needs a thin site")
+from .moncat import ThinCategory, is_semicartesian, require_thin
 
 
 class Presheaf:
     """Object-indexed finite sets with contravariant restriction maps."""
 
     def __init__(self, site: ThinCategory, at: dict, res: dict):
-        _require_thin(site)
+        require_thin(site)
         self.site = site
         self._at = {}
         for u in site.objects():
@@ -121,7 +115,7 @@ class PresheafValidation(CheckReport):
 
 
 def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
-    _require_thin(site)
+    require_thin(site)
     if not isinstance(raw, dict) or not isinstance(raw.get("at"), dict):
         raise InvalidSpec("presheaf spec needs an 'at' table")
     if not isinstance(raw.get("res", {}), dict):
@@ -145,9 +139,11 @@ def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
         cv, cu = key.split("<=", 1)
         if cv not in objs or cu not in objs:
             raise InvalidSpec(f"restriction key {key!r} names unknown objects")
+        v, u = objs[cv], objs[cu]
+        if not site.leq(v, u):
+            raise InvalidSpec(f"restriction key {key!r}: no arrow {cv} -> {cu}")
         if not isinstance(table, dict):
             raise InvalidSpec(f"restriction {key!r} must be an object")
-        v, u = objs[cv], objs[cu]
         res[(v, u)] = FinMap(at[u], at[v], table)
         if v == u and res[(v, u)] != finset.identity(at[u]):
             raise InvalidSpec(f"restriction {key!r} must be the identity")
@@ -193,7 +189,7 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
 
 def yoneda(site: ThinCategory, u) -> Presheaf:
     """The site's one y(u): singleton below u, empty elsewhere, forced restrictions."""
-    _require_thin(site)
+    require_thin(site)
     y = site._yoneda.get(u)
     if y is None:
         at = {w: ["*"] if site.leq(w, u) else [] for w in site.objects()}
@@ -203,14 +199,14 @@ def yoneda(site: ThinCategory, u) -> Presheaf:
 
 
 def terminal_presheaf(site: ThinCategory) -> Presheaf:
-    _require_thin(site)
+    require_thin(site)
     at = {u: ["*"] for u in site.objects()}
     res = {vu: {"*": "*"} for vu in site.pairs()}
     return Presheaf(site, at, res)
 
 
 def empty_presheaf(site: ThinCategory) -> Presheaf:
-    _require_thin(site)
+    require_thin(site)
     at = {u: [] for u in site.objects()}
     res = {vu: {} for vu in site.pairs()}
     return Presheaf(site, at, res)
@@ -441,7 +437,6 @@ def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
     if f.site != g.site:
         raise SiteMismatch("convolution needs presheaves on one site")
     site = f.site
-    _require_thin(site)
     objs = site.objects()
     classes = {}
     uf_by_obj = {}
@@ -532,9 +527,10 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
     their coequalizer classes form the sieve's value at w. A union-find
     over the tags ``i:*`` of the legs with ``w <= dom_i`` builds those
     classes directly: it joins i and j whenever ``w <= overlap(i, j)``,
-    and names each class by its least tag, as `finset.coequalizer` does.
+    and names each class by its least tag, as the test oracle
+    `finset_oracles.coequalizer` does.
     """
-    _require_thin(site)
+    require_thin(site)
     legs = cover.legs
     overlaps = [[site.overlap(a, b) for b in legs] for a in legs]
     tags = [finset.tag_label(i, "*") for i in range(len(legs))]

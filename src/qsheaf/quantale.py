@@ -129,8 +129,11 @@ def parse_raw(raw: dict) -> dict:
     if any("," in e for e in elements):
         raise InvalidSpec("element labels must not contain commas (mul keys are 'a,b')")
     eset = set(elements)
+    leq = raw.get("leq", [])
+    if not isinstance(leq, list):
+        raise InvalidSpec(f"'leq' must be a list of [a, b] pairs, not {leq!r}")
     pairs = []
-    for entry in raw.get("leq", []):
+    for entry in leq:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise InvalidSpec(f"bad leq entry {entry!r}")
         a, b = str(entry[0]), str(entry[1])

@@ -395,9 +395,7 @@ def plus_with_unit(f: Presheaf, coverage: Coverage):
     site = f.site
     if f.site != coverage.site:
         raise SiteMismatch("presheaf and coverage live on different sites")
-    if not getattr(site, "is_cartesian", False) or not getattr(
-        coverage, "join_rule", False
-    ):
+    if not site.is_cartesian or not coverage.join_rule:
         raise NotLocale(
             "the one-step densification needs a locale with its "
             "canonical coverage"

@@ -12,8 +12,7 @@ from qsheaf.cli import corpus_dir
 from qsheaf.coverage import (
     CoverFamily,
     canonical_quantale_coverage,
-    check_prelopology,
-    check_pretopology,
+    check_flavor,
     parse_coverage,
     product_coverage,
     trivial_coverage,
@@ -247,7 +246,8 @@ def test_02_pretopology_prelopology_agreement():
                     break
         assert len(variants) >= 20, f"{name}({param}) produced {len(variants)}"
         for cov in variants:
-            assert check_prelopology(cov).ok == check_pretopology(cov).ok
+            pre, top = (check_flavor(cov, f) for f in ("prelopology", "pretopology"))
+            assert pre.ok == top.ok
     _stamp(2, "pretopology = prelopology on locales", started, 5.0)
 
 

@@ -419,6 +419,33 @@ class TestExitCodes:
     def test_verify_appendix_unknown_instance(self):
         assert main(["verify-appendix", "--instance", "banana"]) == 2
 
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            ("max-iter", ["sheafify", "s.json", "c.json", "p.json", "--out", "o.json"]),
+            ("certify-battery", ["sheafify", "s.json", "c.json", "p.json", "--out", "o.json"]),
+            ("size-bound", ["verify-appendix", "--instance", "product"]),
+        ],
+    )
+    def test_negative_count_is_refused(self, option, argv, tmp_path):
+        files = {
+            "s.json": corpus("site_luk3.json"),
+            "c.json": corpus("coverage_canonical.json"),
+            "p.json": corpus("presheaf_luk3_separated.json"),
+        }
+        stage(tmp_path, Case("", files, [], 0))
+        argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+        report_path = tmp_path / "r.json"
+        code = main(argv + [f"--{option}", "-1", "--json", str(report_path)])
+        assert code == 2
+        assert json.loads(report_path.read_text())["verdicts"] == [{
+            "check": option,
+            "checked": None,
+            "ok": False,
+            "witness": f"--{option} must not be negative, got -1",
+        }]
+        assert not (tmp_path / "o.json").exists()
+
     def test_sub_rejects_non_sheaf_ambient(self, tmp_path):
         stage(
             tmp_path,
@@ -539,6 +566,10 @@ MALFORMED_PRESHEAVES = {
         "res": {"0<=h": [["a", "a"]], "0<=1": {"a": "a"}, "h<=1": {"a": "a"}},
     },
     "integer-labels": {"at": {"0": [1], "h": [], "1": []}, "res": _LUK3_RES},
+    "restriction-on-a-non-arrow": {
+        "at": {"0": ["*"], "h": ["*"], "1": ["*"]},
+        "res": {**{k: {"*": "*"} for k in _LUK3_RES}, "1<=0": {"*": "*"}},
+    },
     "self-restriction-not-identity": {
         "at": {"0": ["s"], "h": ["p", "q"], "1": []},
         "res": {
@@ -581,6 +612,71 @@ class TestMalformedShapes:
         assert [(v["check"], v["ok"]) for v in verdicts] == [
             ("well-formed-presheaf", False)
         ]
+
+
+# ---------------------------------------------------------------------------
+# malformed input, exhaustively: one JSON value of a file replaced at a time
+
+REPLACEMENTS = [5, [], {}, "x", None, True]
+LUK3_TWO_FAMILIES = {
+    "covers": [
+        {"target": "h", "legs": [{"dom": "0"}, {"dom": "h"}]},
+        {"target": "1", "legs": [{"dom": "1"}]},
+    ]
+}
+
+
+def mutants(node):
+    """Copies of a JSON tree with one node replaced by each of `REPLACEMENTS`."""
+    yield from REPLACEMENTS
+    if isinstance(node, dict):
+        keys = list(node)
+    elif isinstance(node, list):
+        keys = range(len(node))
+    else:
+        return
+    for key in keys:
+        for child in mutants(node[key]):
+            copy = node.copy()
+            copy[key] = child
+            yield copy
+
+
+# (file to mutate, the files it is read with, the commands that read it)
+MUTATED_INPUTS = {
+    "site": ("site_luk3.json", {}, [["check-quantale", "m.json"],
+                                    ["lopos-check", "m.json"]]),
+    "coverage": (LUK3_TWO_FAMILIES, {"s.json": "site_luk3.json"},
+                 [["check-prelopology", "s.json", "m.json"]]),
+    "presheaf": (
+        "presheaf_luk3_separated.json",
+        {"s.json": "site_luk3.json", "c.json": "coverage_canonical.json"},
+        [["check-sheaf", "s.json", "c.json", "m.json"]],
+    ),
+    "product-site": ("site_product_chain2_luk3.json",
+                     {"c.json": "coverage_canonical.json"},
+                     [["check-prelopology", "m.json", "c.json"]]),
+}
+
+
+@pytest.mark.parametrize("name", MUTATED_INPUTS)
+def test_malformed_input_is_never_an_internal_error(name, tmp_path):
+    """Bad input reads as bad input (exit 2) or as a verdict, never as a bug."""
+    mutated, others, commands = MUTATED_INPUTS[name]
+    if isinstance(mutated, str):
+        mutated = corpus(mutated)
+    stage(tmp_path, Case("", {k: corpus(v) for k, v in others.items()}, [], 0))
+    report_path = tmp_path / "r.json"
+    bad = []
+    for mutant in mutants(mutated):
+        (tmp_path / "m.json").write_text(json.dumps(mutant))
+        for argv in commands:
+            code = main([argv[0]] + [str(tmp_path / a) for a in argv[1:]]
+                        + ["--json", str(report_path)])
+            checks = [v["check"] for v in json.loads(report_path.read_text())["verdicts"]]
+            if code not in (0, 1, 2) or "internal-error" in checks:
+                bad.append((argv[0], code, json.dumps(mutant)[:120]))
+    assert bad == []
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from qsheaf.coverage import (
     CoverFamily,
     canonical_quantale_coverage,
-    check_strong_prelopology,
+    check_flavor,
 )
 from qsheaf.finset import EMPTY, FinMap
 from qsheaf.moncat import (
@@ -612,4 +612,4 @@ def test_passing_checks_format_no_witness(monkeypatch):
 
     monkeypatch.setattr(CoverFamily, "__repr__", no_repr)
     cov = canonical_quantale_coverage(build_standard("truncated_nat", 3))
-    assert check_strong_prelopology(cov).ok
+    assert check_flavor(cov, "strong_prelopology").ok

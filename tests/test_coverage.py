@@ -22,23 +22,25 @@ from qsheaf.coverage import (
     Coverage,
     canonical_quantale_coverage,
     check_flavor,
-    check_prelopology,
-    check_pretopology,
-    check_strong_prelopology,
-    check_weak_prelopology,
     default_mult_cap,
     parse_coverage,
     product_coverage,
     trivial_coverage,
 )
 from qsheaf.errors import (
-    InternalDefect,
     InvalidSpec,
     NotCartesianSite,
     NotSemicartesian,
+    NotThinSite,
     UnverifiedInput,
 )
-from qsheaf.moncat import FinSetCategory, ThinCategory, canon, pseudo_pullback
+from qsheaf.moncat import (
+    FinSetCategory,
+    ProductCategory,
+    ThinCategory,
+    canon,
+    pseudo_pullback,
+)
 from qsheaf.quantale import Quantale, build_standard, validate_quantale
 
 
@@ -152,8 +154,14 @@ class TestCanonicalMembership:
         assert not exp.contains(family(site, ["0"], "h"))
 
     def test_coverage_needs_a_thin_site(self):
-        with pytest.raises(InternalDefect):
-            Coverage(FinSetCategory(max_size=1), [])
+        _, site, _ = make("lukasiewicz_chain", 3)
+        for non_thin in (
+            FinSetCategory(max_size=1),
+            FinSetCategory(),
+            ProductCategory(site, site),
+        ):
+            with pytest.raises(NotThinSite):
+                Coverage(non_thin, [])
 
     def test_canonical_needs_semicartesian(self):
         q = validate_quantale(mid_unit_chain3_raw())
@@ -165,7 +173,7 @@ class TestCanonicalMembership:
 class TestFlavorCheckers:
     def test_strong_prelopology_instance_counts(self):
         _, _, cov = make("lukasiewicz_chain", 3)
-        report = check_strong_prelopology(cov)
+        report = check_flavor(cov, "strong_prelopology")
         assert report.ok, report.summary()
         by_name = {e.name: e.checked for e in report.entries}
         assert by_name == {
@@ -189,28 +197,28 @@ class TestFlavorCheckers:
             ("powerset_locale", 2),
         ]:
             _, _, cov = make(name, param)
-            report = check_strong_prelopology(cov)
+            report = check_flavor(cov, "strong_prelopology")
             assert report.ok, f"{name}({param}):\n{report.summary()}"
 
     def test_trivial_coverage_is_lawful(self):
         for name, param in [("lukasiewicz_chain", 3), ("powerset_locale", 2)]:
             q, site, _ = make(name, param)
-            report = check_strong_prelopology(trivial_coverage(site, q))
+            report = check_flavor(trivial_coverage(site, q), "strong_prelopology")
             assert report.ok, report.summary()
 
     def test_trivial_on_locale_is_pretopology(self):
         q, site, _ = make("powerset_locale", 2)
-        assert check_pretopology(trivial_coverage(site, q)).ok
+        assert check_flavor(trivial_coverage(site, q), "pretopology").ok
 
     def test_pretopology_requires_cartesian_site(self):
         _, _, cov = make("lukasiewicz_chain", 3)
         with pytest.raises(NotCartesianSite):
-            check_pretopology(cov)
+            check_flavor(cov, "pretopology")
 
     def test_canonical_locale_coverage_is_pretopology(self):
         for name, param in [("powerset_locale", 2), ("chain_locale", 3)]:
             _, _, cov = make(name, param)
-            report = check_pretopology(cov)
+            report = check_flavor(cov, "pretopology")
             assert report.ok, report.summary()
 
     def test_flavor_dispatch(self):
@@ -225,7 +233,7 @@ class TestMutationDetection:
     def test_missing_composite_breaks_composition(self):
         q, site, cov = make("lukasiewicz_chain", 3)
         mutant = cov.without_family(family(site, ["0", "h"], "h"))
-        report = check_prelopology(mutant)
+        report = check_flavor(mutant, "prelopology")
         assert not report.ok
         comp = next(e for e in report.entries if e.name == "composition")
         assert not comp.ok and comp.witness
@@ -233,14 +241,14 @@ class TestMutationDetection:
     def test_missing_identity_breaks_iso_singletons(self):
         q, site, cov = make("lukasiewicz_chain", 3)
         mutant = cov.without_family(family(site, ["0"], "0"))
-        report = check_weak_prelopology(mutant)
+        report = check_flavor(mutant, "weak_prelopology")
         iso = next(e for e in report.entries if e.name == "iso-singletons")
         assert not iso.ok and "0" in iso.witness
 
     def test_added_undercover_breaks_composition(self):
         q, site, cov = make("lukasiewicz_chain", 3)
         mutant = cov.with_family(family(site, ["h"], "1"))
-        report = check_prelopology(mutant)
+        report = check_flavor(mutant, "prelopology")
         comp = next(e for e in report.entries if e.name == "composition")
         assert not comp.ok
 
@@ -249,15 +257,15 @@ class TestMutationDetection:
         # quantify over assigned families, none forces it back in
         q, site, cov = make("lukasiewicz_chain", 3)
         mutant = cov.without_family(CoverFamily("0", []))
-        assert check_strong_prelopology(mutant).ok
+        assert check_flavor(mutant, "strong_prelopology").ok
 
     def test_stability_failure_seen_by_both_checkers(self):
         q, site, cov = make("powerset_locale", 2)
         mutant = cov.without_family(family(site, ["{}", "{x}"], "{x}"))
-        pre = check_prelopology(mutant)
+        pre = check_flavor(mutant, "prelopology")
         ppb = next(e for e in pre.entries if e.name == "ppb-stability")
         assert not ppb.ok
-        top = check_pretopology(mutant)
+        top = check_flavor(mutant, "pretopology")
         pull = next(e for e in top.entries if e.name == "pullback-stability")
         assert not pull.ok
 
@@ -275,8 +283,8 @@ class TestMutationDetection:
                 cov.with_family(family(site, [q.bottom], q.top))
             )
             for variant in variants:
-                pre = check_prelopology(variant)
-                top = check_pretopology(variant)
+                pre = check_flavor(variant, "prelopology")
+                top = check_flavor(variant, "pretopology")
                 assert pre.ok == top.ok, variant
         assert time.monotonic() - start < 5.0
 
@@ -286,9 +294,9 @@ class TestProductCoverage:
         _, _, left = make("chain_locale", 2)
         _, _, right = make("lukasiewicz_chain", 3)
         prod = product_coverage(left, right)
-        assert check_prelopology(prod).ok
+        assert check_flavor(prod, "prelopology").ok
         with pytest.raises(NotCartesianSite):
-            check_pretopology(prod)
+            check_flavor(prod, "pretopology")
 
     def test_product_is_not_the_canonical_enumeration(self):
         # flatten the product quantale and compare: the paired families
@@ -343,8 +351,8 @@ class TestProductCoverage:
         _, _, left = make("chain_locale", 2)
         _, _, right = make("chain_locale", 3)
         prod = product_coverage(left, right)
-        assert check_pretopology(prod).ok
-        assert check_prelopology(prod).ok
+        assert check_flavor(prod, "pretopology").ok
+        assert check_flavor(prod, "prelopology").ok
 
     def test_trivial_times_trivial_is_trivial(self):
         q1, s1, _ = make("chain_locale", 2)
@@ -371,7 +379,7 @@ class TestProductCoverage:
         with pytest.raises(InvalidSpec, match="two-marginal rule"):
             prod.with_family(family(prod.site, [("1", "h")], ("1", "h")))
         assert prod.covers(("1", "h"), [("0", "h"), ("1", "0")])
-        assert check_prelopology(prod).ok
+        assert check_flavor(prod, "prelopology").ok
 
     def test_product_rejects_unverified_components(self):
         q, site, cov = make("lukasiewicz_chain", 3)
@@ -856,7 +864,7 @@ class TestFactorizationTable:
             return l_r_factor(self, fi, fj, v)
 
         monkeypatch.setattr(ThinCategory, "l_r_factor", spy)
-        assert check_strong_prelopology(cov).ok
+        assert check_flavor(cov, "strong_prelopology").ok
         table = site._factorizations
         decided = [key for key, known in asked if not known]
         assert len(asked) > len(decided) == len(set(decided)) == len(table)
@@ -869,7 +877,7 @@ class TestFactorizationTable:
         # a repeat check reads every answer back without building anything
         monkeypatch.setattr(ThinCategory, "overlap", no_overlaps)
         asked.clear()
-        assert check_strong_prelopology(cov).ok
+        assert check_flavor(cov, "strong_prelopology").ok
         assert asked and all(known for _, known in asked) and table == entries
 
     def test_equal_keys_return_the_same_entry(self):
@@ -886,7 +894,8 @@ class TestFactorizationTable:
         for _ in range(2):
             q = validate_quantale(corpus("site_luk3.json"))
             site = ThinCategory.from_quantale(q)
-            assert check_strong_prelopology(canonical_quantale_coverage(q, site)).ok
+            cov = canonical_quantale_coverage(q, site)
+            assert check_flavor(cov, "strong_prelopology").ok
             tables.append(site._factorizations)
         first, second = tables
         assert first and first == second and first is not second

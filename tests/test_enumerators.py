@@ -23,7 +23,7 @@ from qsheaf.cli import corpus_dir, main
 from qsheaf.coverage import (
     CoverFamily,
     canonical_quantale_coverage,
-    check_strong_prelopology,
+    check_flavor,
     clamped_multiset,
     parse_coverage,
     product_coverage,
@@ -431,5 +431,5 @@ def test_join_rule_checks_never_build_a_cover_key(monkeypatch):
     calls = []
     key = Mor.key
     monkeypatch.setattr(Mor, "key", lambda m: calls.append(m) or key(m))
-    assert check_strong_prelopology(coverage).ok
+    assert check_flavor(coverage, "strong_prelopology").ok
     assert len(calls) == 0

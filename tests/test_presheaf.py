@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import finset_oracles as oracles
 from qsheaf import finset
 from qsheaf.cli import corpus_dir
 from qsheaf.coverage import (
@@ -166,6 +167,10 @@ class TestPresheafStructure:
                 "at": {"1": [], "h": [], "0": []},
                 "res": {"0-h": {}},
             })
+        raw = sep_presheaf(site).to_raw()
+        raw["res"]["h<=0"] = {"s": "p"}
+        with pytest.raises(InvalidSpec, match="no arrow h -> 0"):
+            parse_presheaf(site, raw)
 
     def test_validation_flags_broken_composition(self):
         _, site = powerset2_site()
@@ -261,6 +266,7 @@ CONSTRUCTORS = {
     "yoneda": lambda site: yoneda(site, site.unit),
     "terminal_presheaf": terminal_presheaf,
     "empty_presheaf": empty_presheaf,
+    "sieve_of": lambda site: sieve_of(site, CoverFamily(site.unit, [])),
 }
 
 
@@ -495,13 +501,13 @@ def coequalizer_sieve(site, cover):
 
     At each object: the coproduct of one singleton per leg below it, the
     pair tags (i,j) of the legs' pseudo-pullbacks with their two maps to
-    the tags i and j, and `finset.coequalizer` of those maps.
+    the tags i and j, and `finset_oracles.coequalizer` of those maps.
     """
     legs = cover.legs
     at, proj = {}, {}
     for w in site.objects():
         pieces = [FinSetObj(["*"] if site.leq(w, leg.dom) else []) for leg in legs]
-        total, _ = finset.coproduct(pieces)
+        total, _ = oracles.coproduct(pieces)
         pair_tags = [
             (i, j)
             for i, j in itertools.product(range(len(legs)), repeat=2)
@@ -514,7 +520,7 @@ def coequalizer_sieve(site, cover):
             })
             for side in (0, 1)
         )
-        at[w], proj[w] = finset.coequalizer(first, second)
+        at[w], proj[w] = oracles.coequalizer(first, second)
     res = {(v, u): {rep: proj[v](rep) for rep in at[u]} for v, u in site.pairs()}
     canonical = {w: {rep: "*" for rep in reps} for w, reps in at.items()}
     return at, res, canonical

@@ -209,6 +209,9 @@ def test_structural_errors_raise():
         qt.validate_quantale(
             {"elements": ["a"], "leq": [["a"]], "mul": {"a,a": "a"}}
         )
+    for leq in (5, None, True, {}, "ab"):
+        with pytest.raises(InvalidSpec):
+            qt.validate_quantale({"elements": ["a"], "leq": leq, "mul": {"a,a": "a"}})
     with pytest.raises(InvalidSpec):
         qt.build_standard("nope", 3)
 
