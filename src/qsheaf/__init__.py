@@ -9,7 +9,8 @@ Subpackages, bottom of the stack first:
 - `coverage`: covering families and `check_flavor`, the axiom check of
   all four flavors
 - `presheaf`: presheaves on thin sites, Day convolution, sieves
-- `sheaf`: the two sheaf checkers, gluing, the plus construction
+- `sheaf`: the two sheaf checkers, `check_sheaf` (runs both and
+  enforces their agreement), shifts, the plus construction
 - `reflect`: sheafification by orthogonal forcing, subobject lattices,
   the down-set quantale criterion
 - `cli`: the `qsheaf` command

@@ -149,9 +149,6 @@ class Coverage:
     def family_count(self) -> int:
         return sum(len(v) for v in self._assign.values())
 
-    def contains(self, fam: CoverFamily) -> bool:
-        return self.covers(fam.target, fam.domains())
-
     def covers(self, target, doms) -> bool:
         """Whether the arrows ``d -> target``, one per entry of `doms`, cover."""
         if self.components is not None:
@@ -173,35 +170,6 @@ class Coverage:
             )
         return self.quantale.join(sorted(set(doms))) == target and all(
             self.site.leq(d, target) for d in doms
-        )
-
-    def without_family(self, fam: CoverFamily) -> "Coverage":
-        """Explicit copy with one family removed; membership follows."""
-        remaining = [f for f in self.all_families() if f != fam]
-        if len(remaining) == self.family_count():
-            raise InvalidSpec(f"family {fam!r} is not assigned")
-        return self._explicit_copy(remaining)
-
-    def with_family(self, fam: CoverFamily) -> "Coverage":
-        """Explicit copy with one family added."""
-        return self._explicit_copy(list(self.all_families()) + [fam])
-
-    def _explicit_copy(self, families) -> "Coverage":
-        if self.components is not None:
-            # membership would become the clamped multisets of the
-            # positional pairings the product assigns
-            raise InvalidSpec(
-                "a product coverage has no explicit copy: its membership is"
-                " the two-marginal rule, which no list of families"
-                " reproduces; edit a component and take the product again"
-            )
-        return Coverage(
-            self.site,
-            families,
-            flavor=self.flavor,
-            join_rule=False,
-            quantale=self.quantale,
-            mult_cap=self.mult_cap,
         )
 
     def to_raw(self) -> dict:

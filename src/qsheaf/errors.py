@@ -5,7 +5,8 @@ Validation of mathematical laws never raises; law checkers return
 Exceptions are reserved for misuse: malformed input, mismatched
 domains, calling an operation on a site that does not support it. The
 one exception is `InternalDefect`, raised when two of the library's own
-independent computations disagree.
+independent computations disagree; `sheaf.check_sheaf` raises it when
+the two sheaf definitions give different verdicts.
 """
 
 
@@ -33,10 +34,6 @@ class NotSemicartesian(QsheafError):
     """The operation needs the tensor unit to be terminal."""
 
 
-class SectionOutOfSet(QsheafError):
-    """A section assigned to a cover leg is not an element of its value set."""
-
-
 class UnverifiedInput(QsheafError):
     """An operation required a coverage whose flavor was not verified."""
 
@@ -55,10 +52,6 @@ class MissingRestriction(QsheafError):
 
 class NotLocale(QsheafError):
     """The plus construction is only valid over localic sites."""
-
-
-class NotCompatible(QsheafError):
-    """Gluing was attempted on a non-compatible family of sections."""
 
 
 class MulNotAssociative(QsheafError):

@@ -1,6 +1,6 @@
 """Semicartesian monoidal instances, pseudo-pullbacks, coherence checks."""
 
-from .coherence import verify_appendix_suite, verify_monoidal_laws
+from .coherence import verify_appendix_suite
 from .core import (
     FinSetCategory,
     MonoidalCategory,
@@ -14,7 +14,6 @@ from .core import (
     projection2,
     pseudo_pullback,
     require_thin,
-    tensor_preserves_equalizers,
     trivial_equalizer,
 )
 
@@ -31,8 +30,6 @@ __all__ = [
     "projection2",
     "pseudo_pullback",
     "require_thin",
-    "tensor_preserves_equalizers",
     "trivial_equalizer",
     "verify_appendix_suite",
-    "verify_monoidal_laws",
 ]

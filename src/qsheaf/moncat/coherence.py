@@ -1,12 +1,11 @@
 """Exhaustive coherence checks for semicartesian monoidal instances.
 
-`verify_monoidal_laws` audits the categorical axioms (composition laws,
-pentagon, triangle, unit terminal, braiding laws). `verify_appendix_suite`
-additionally checks every interaction law between projections, the
-associator, the braiding, and pseudo-pullback equalizers that the sheaf
-machinery depends on. Both quantify over all objects within an optional
-size bound and report one entry per named law with a witness tuple for
-the first failure found. The two pseudo-pullback laws share one
+`verify_appendix_suite` checks the monoidal axioms the sheaf machinery
+depends on (pentagon, triangle, unit terminal) and every interaction law
+between projections, the associator, the braiding, and pseudo-pullback
+equalizers. It quantifies over all objects within an optional size bound
+and reports one entry per named law with a witness tuple for the first
+failure found. The two pseudo-pullback laws share one
 enumeration of their instances and keep separate counts and witnesses.
 """
 
@@ -70,27 +69,6 @@ def _mismatch(lhs: Mor, rhs: Mor, where: str, *objs):
 # categorical law generators
 
 
-def _gen_compose_assoc(c, objs):
-    for a, b in itertools.product(objs, repeat=2):
-        homs_ab = c.hom(a, b)
-        for d in objs:
-            homs_bd = c.hom(b, d)
-            for e in objs:
-                homs_de = c.hom(d, e)
-                for f, g, h in itertools.product(homs_ab, homs_bd, homs_de):
-                    lhs = c.compose(h, c.compose(g, f))
-                    rhs = c.compose(c.compose(h, g), f)
-                    yield _mismatch(lhs, rhs, "(h.g).f at {}->{}", a, e)
-
-
-def _gen_compose_identity(c, objs):
-    for a, b in itertools.product(objs, repeat=2):
-        ida, idb = c.identity(a), c.identity(b)
-        for f in c.hom(a, b):
-            yield _mismatch(c.compose(idb, f), f, "id.f at {}->{}", a, b)
-            yield _mismatch(c.compose(f, ida), f, "f.id at {}->{}", a, b)
-
-
 def _gen_pentagon(c, objs):
     for w, x, y, z in itertools.product(objs, repeat=4):
         lhs = c.compose(
@@ -138,33 +116,6 @@ def _gen_unitor_vs_associator(c, objs, side):
             )
             rhs = c.right_unitor(c.tensor_obj(a, b))
         yield _mismatch(lhs, rhs, where, a, b)
-
-
-def _gen_braid_symmetry(c, objs):
-    for a, b in itertools.product(objs, repeat=2):
-        braid = c.braiding(a, b)
-        back = c.braiding(b, a)
-        yield _mismatch(
-            c.compose(back, braid),
-            c.identity(c.tensor_obj(a, b)),
-            "b.b at ({},{})", a, b,
-        )
-
-
-def _gen_braid_hexagon(c, objs):
-    for a, b, d in itertools.product(objs, repeat=3):
-        lhs = c.compose(
-            c.associator(b, d, a),
-            c.compose(c.braiding(a, c.tensor_obj(b, d)), c.associator(a, b, d)),
-        )
-        rhs = c.compose(
-            c.tensor_mor(c.identity(b), c.braiding(a, d)),
-            c.compose(
-                c.associator(b, a, d),
-                c.tensor_mor(c.braiding(a, b), c.identity(d)),
-            ),
-        )
-        yield _mismatch(lhs, rhs, "hexagon({},{},{})", a, b, d)
 
 
 def _gen_braid_unitors(c, objs):
@@ -368,16 +319,6 @@ def _run_suite(instance, size_bound, laws, fail_fast=False) -> CheckReport:
     return report
 
 
-_MONOIDAL_LAWS = (
-    ("compose-assoc", _gen_compose_assoc),
-    ("compose-identity", _gen_compose_identity),
-    ("pentagon", _gen_pentagon),
-    ("triangle", _gen_triangle),
-    ("unit-terminal", _gen_unit_terminal),
-    ("braid-symmetry", _gen_braid_symmetry),
-    ("braid-hexagon", _gen_braid_hexagon),
-)
-
 _APPENDIX_LAWS = (
     ("pentagon", _gen_pentagon),
     ("triangle", _gen_triangle),
@@ -396,11 +337,6 @@ _APPENDIX_LAWS = (
     ("braid-projections-2", lambda c, objs: _gen_braid_projections(c, objs, 2)),
     (("ppb-equalizing", "ppb-tensor-compare"), _gen_ppb_laws),
 )
-
-
-def verify_monoidal_laws(instance: MonoidalCategory, size_bound=None) -> CheckReport:
-    """Category, monoidal, unit-terminal, and braiding axioms."""
-    return _run_suite(instance, size_bound, _MONOIDAL_LAWS)
 
 
 def verify_appendix_suite(instance: MonoidalCategory, size_bound=None,

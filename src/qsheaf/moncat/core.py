@@ -10,10 +10,9 @@ Three instance families share one interface:
   instances can be injected for mutation testing.
 - `ProductCategory`: the componentwise pairing of two instances.
 
-On top of the interface: projections out of a tensor, pseudo-pullbacks
-(the equalizer of the two projections pushed along a cospan) and the
-preservation question for tensoring against equalizers. A thin site
-also answers the projection-factorization question of the strong
+On top of the interface: projections out of a tensor and
+pseudo-pullbacks (the equalizer of the two projections pushed along a
+cospan). A thin site also answers the projection-factorization question of the strong
 prelopology axiom (`ThinCategory.l_r_factor`), by one order test.
 """
 
@@ -764,22 +763,6 @@ def _build_pseudo_pullback(c: MonoidalCategory, f: Mor, g: Mor) -> PseudoPullbac
         p2=c.compose(pi2, into),
         tensor=t,
     )
-
-
-def tensor_preserves_equalizers(c: MonoidalCategory, u, f: Mor, g: Mor):
-    """Compare u (x) Eq(f,g) with Eq(id_u (x) f, id_u (x) g).
-
-    Returns (preserved, comparison morphism). The comparison is the
-    unique factorization of id_u (x) e through the second equalizer;
-    preservation means it is invertible.
-    """
-    _, e = c.equalizer(f, g)
-    id_u = c.identity(u)
-    _, e2 = c.equalizer(c.tensor_mor(id_u, f), c.tensor_mor(id_u, g))
-    gamma = c.factor_through_mono(e2, c.tensor_mor(id_u, e))
-    if gamma is None:
-        return False, None
-    return c.is_iso(gamma), gamma
 
 
 def trivial_equalizer(instance, f, g):

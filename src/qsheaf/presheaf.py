@@ -205,13 +205,6 @@ def terminal_presheaf(site: ThinCategory) -> Presheaf:
     return Presheaf(site, at, res)
 
 
-def empty_presheaf(site: ThinCategory) -> Presheaf:
-    require_thin(site)
-    at = {u: [] for u in site.objects()}
-    res = {vu: {} for vu in site.pairs()}
-    return Presheaf(site, at, res)
-
-
 # ---------------------------------------------------------------------------
 # natural transformations
 

@@ -43,10 +43,9 @@ from .presheaf import (
 )
 from .quantale import _closure, _least_upper_bound, parse_raw
 from .sheaf import (
-    VERDICT_SHEAF,
     _glue_buckets,
+    check_sheaf,
     check_sheaf_equalizer,
-    check_sheaf_orthogonal,
     compatible_families,
 )
 
@@ -271,20 +270,9 @@ def certify_reflection(
     """Check the universal property, not just the sheaf condition."""
     report = CheckReport()
     report.entries.append(CheckEntry("converged", result.converged))
-    report.entries.append(
-        CheckEntry(
-            "result-sheaf-equalizer",
-            check_sheaf_equalizer(result.sheaf, coverage).verdict
-            == VERDICT_SHEAF,
-        )
-    )
-    report.entries.append(
-        CheckEntry(
-            "result-sheaf-orthogonal",
-            check_sheaf_orthogonal(result.sheaf, coverage).verdict
-            == VERDICT_SHEAF,
-        )
-    )
+    equalizer, orthogonal = check_sheaf(result.sheaf, coverage)
+    report.entries.append(CheckEntry("result-sheaf-equalizer", equalizer.ok))
+    report.entries.append(CheckEntry("result-sheaf-orthogonal", orthogonal.ok))
     report.entries.append(CheckEntry("unit-natural", result.unit.is_natural()))
     if battery is None:
         battery = enumerate_sheaves(f.site, coverage, max_size=2)

@@ -4,8 +4,10 @@ The first checker enumerates compatible families and counts gluings,
 cross-checking itself against the literal equalizer diagram (built with
 the finite-set kernel) whenever the diagram is small. The second checker
 tests orthogonality against canonical sieve inclusions by enumerating
-natural transformations on both sides. The two must always agree; any
-disagreement is reported as a defect of this library, never of the input.
+natural transformations on both sides. `check_sheaf` is the one place
+that runs them together: the two must always agree, and it raises
+`InternalDefect` when they do not, a defect of this library, never of
+the input.
 """
 
 from __future__ import annotations
@@ -15,14 +17,7 @@ from dataclasses import dataclass, field
 
 from . import finset
 from .coverage import CoverFamily, Coverage
-from .errors import (
-    InternalDefect,
-    NotCompatible,
-    NotLocale,
-    QsheafError,
-    SectionOutOfSet,
-    SiteMismatch,
-)
+from .errors import InternalDefect, InvalidSpec, NotLocale, SiteMismatch
 from .finset import FinMap, FinSetObj, UnionFind, label_key
 from .moncat import ThinCategory
 from .presheaf import (
@@ -39,33 +34,12 @@ VERDICT_SHEAF = "sheaf"
 VERDICT_SEPARATED = "separated"
 VERDICT_PRESHEAF = "presheaf"
 
+SHEAF_METHODS = ("equalizer", "orthogonal")
+
 _GRADE = {VERDICT_SHEAF: 2, VERDICT_SEPARATED: 1, VERDICT_PRESHEAF: 0}
 
 # covers with more leg-section tuples than this skip the diagram cross-check
 CROSSCHECK_THRESHOLD = 4096
-
-
-def is_compatible(f: Presheaf, cover: CoverFamily, sections) -> bool:
-    """Do the sections agree on every pairwise overlap?"""
-    site = f.site
-    legs = cover.legs
-    if len(sections) != len(legs):
-        raise SectionOutOfSet(
-            f"expected {len(legs)} sections, got {len(sections)}"
-        )
-    for leg, x in zip(legs, sections):
-        if x not in f.value(leg.dom):
-            raise SectionOutOfSet(
-                f"section {x!r} is not in the value set at {site.name(leg.dom)}"
-            )
-    for i in range(len(legs)):
-        for j in range(i + 1, len(legs)):
-            t = site.overlap(legs[i], legs[j])
-            lhs = f.restrict(t, legs[i].dom)(sections[i])
-            rhs = f.restrict(t, legs[j].dom)(sections[j])
-            if lhs != rhs:
-                return False
-    return True
 
 
 def compatible_families(f: Presheaf, cover: CoverFamily) -> list:
@@ -89,21 +63,6 @@ def compatible_families(f: Presheaf, cover: CoverFamily) -> list:
         ]
 
     return list(backtrack(len(legs), sections))
-
-
-def glue(f: Presheaf, cover: CoverFamily, sections) -> list:
-    """Every section over the target restricting to the given family."""
-    if not is_compatible(f, cover, sections):
-        raise NotCompatible("sections disagree on an overlap")
-    target = cover.target
-    out = []
-    for z in f.value(target):
-        if all(
-            f.restrict(leg.dom, target)(z) == x
-            for leg, x in zip(cover.legs, sections)
-        ):
-            out.append(z)
-    return out
 
 
 @dataclass(frozen=True)
@@ -270,33 +229,31 @@ def check_sheaf_orthogonal(f: Presheaf, coverage: Coverage) -> SheafReport:
     return report
 
 
-def check_separated(f: Presheaf, coverage: Coverage) -> bool:
-    """Are sections over each target distinguished by their restrictions?"""
-    if f.site != coverage.site:
-        raise SiteMismatch("presheaf and coverage live on different sites")
-    for cover in coverage.all_families():
-        buckets = _glue_buckets(f, cover)
-        if any(len(zs) > 1 for zs in buckets.values()):
-            return False
-    return True
+def check_sheaf(f: Presheaf, coverage: Coverage, methods=SHEAF_METHODS,
+                rng=None) -> list:
+    """Run the named checkers; two verdicts that differ are a defect here.
 
-
-def check_sheaf(f: Presheaf, coverage: Coverage, method: str = "both"):
-    """Run one or both checkers; with both, disagreement is an internal bug."""
-    if method == "equalizer":
-        return check_sheaf_equalizer(f, coverage)
-    if method == "orthogonal":
-        return check_sheaf_orthogonal(f, coverage)
-    if method != "both":
-        raise QsheafError(f"unknown sheaf check method {method!r}")
-    first = check_sheaf_equalizer(f, coverage)
-    second = check_sheaf_orthogonal(f, coverage)
-    if first.verdict != second.verdict:
+    The checkers run in the order `rng.shuffle` sets when `rng` is given,
+    and their reports come back in `methods` order.
+    """
+    for method in methods:
+        if method not in SHEAF_METHODS:
+            raise InvalidSpec(f"unknown sheaf check method {method!r}")
+    order = list(methods)
+    if rng is not None:
+        rng.shuffle(order)
+    # read at call time, so a rebinding of either checker is seen here
+    checkers = {
+        "equalizer": check_sheaf_equalizer,
+        "orthogonal": check_sheaf_orthogonal,
+    }
+    results = {m: checkers[m](f, coverage) for m in order}
+    if len({r.verdict for r in results.values()}) > 1:
         raise InternalDefect(
-            "internal defect: sheaf checkers disagree "
-            f"({first.verdict} vs {second.verdict})"
+            "the two sheaf definitions disagree: "
+            + ", ".join(f"{m}={r.verdict}" for m, r in sorted(results.items()))
         )
-    return first
+    return [results[m] for m in methods]
 
 
 # ---------------------------------------------------------------------------

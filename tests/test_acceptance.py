@@ -8,6 +8,7 @@ import itertools
 import json
 import time
 
+from coverage_edits import with_family, without_family
 from qsheaf.cli import corpus_dir
 from qsheaf.coverage import (
     CoverFamily,
@@ -229,10 +230,10 @@ def test_02_pretopology_prelopology_agreement():
         if small.family_count() != default.family_count():
             variants.append(small)
         fams = list(small.all_families())
-        variants.append(small.with_family(_family(site, [q.bottom], q.top)))
-        variants.append(small.with_family(_family(site, [q.top], q.top)))
+        variants.append(with_family(small, _family(site, [q.bottom], q.top)))
+        variants.append(with_family(small, _family(site, [q.top], q.top)))
         variants.append(
-            small.with_family(_family(site, [q.bottom, q.top], q.top))
+            with_family(small, _family(site, [q.bottom, q.top], q.top))
         )
         for depth in (1, 2, 3):
             if len(variants) >= 20:
@@ -240,7 +241,7 @@ def test_02_pretopology_prelopology_agreement():
             for combo in itertools.combinations(fams, depth):
                 cov = small
                 for fam in combo:
-                    cov = cov.without_family(fam)
+                    cov = without_family(cov, fam)
                 variants.append(cov)
                 if len(variants) >= 20:
                     break

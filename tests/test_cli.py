@@ -503,11 +503,11 @@ class TestExitCodes:
 
     def test_checker_disagreement_is_an_internal_defect(self, tmp_path, monkeypatch):
         """Disagreeing sheaf checkers are a bug in qsheaf, not bad input."""
-        import qsheaf.cli as cli
+        import qsheaf.sheaf
         from qsheaf.sheaf import VERDICT_PRESHEAF, SheafReport
 
         monkeypatch.setattr(
-            cli,
+            qsheaf.sheaf,
             "check_sheaf_orthogonal",
             lambda f, coverage: SheafReport("orthogonal", VERDICT_PRESHEAF),
         )
@@ -542,6 +542,77 @@ class TestExitCodes:
         defects = [v for v in report["verdicts"] if v["check"] == "internal-defect"]
         assert len(defects) == 1 and not defects[0]["ok"]
         assert "equalizer=sheaf, orthogonal=presheaf" in defects[0]["witness"]
+
+    def test_certification_disagreement_is_an_internal_defect(
+        self, tmp_path, monkeypatch
+    ):
+        """`sheafify` checks its result under the same rule as `check-sheaf`."""
+        import qsheaf.sheaf
+        from qsheaf.sheaf import VERDICT_PRESHEAF, SheafReport
+
+        monkeypatch.setattr(
+            qsheaf.sheaf,
+            "check_sheaf_orthogonal",
+            lambda f, coverage: SheafReport("orthogonal", VERDICT_PRESHEAF),
+        )
+        files = {
+            "s.json": corpus("site_luk3.json"),
+            "c.json": corpus("coverage_canonical.json"),
+            "p.json": corpus("presheaf_luk3_terminal.json"),
+        }
+        stage(tmp_path, Case("", files, [], 0))
+        report_path = tmp_path / "r.json"
+        code = main(
+            ["sheafify"]
+            + [str(tmp_path / name) for name in files]
+            + ["--out", str(tmp_path / "o.json"), "--json", str(report_path)]
+        )
+        assert code == 4
+        verdicts = json.loads(report_path.read_text())["verdicts"]
+        assert [(v["check"], v["ok"]) for v in verdicts] == [("internal-defect", False)]
+        assert "equalizer=sheaf, orthogonal=presheaf" in verdicts[0]["witness"]
+
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_json_report_needs_a_file_in_a_directory(self, where, tmp_path, capsys):
+        target = tmp_path / "absent" / "r.json" if where == "missing-directory" else tmp_path
+        site = str(corpus_dir() / "site_luk3.json")
+        assert main(["check-quantale", site, "--json", str(target)]) == 2
+        assert capsys.readouterr().out == (
+            f"FAIL json [--json {target}: not a file in an existing directory]\n"
+            "check-quantale: 0/1 checks passed (exit 2)\n"
+        )
+        assert not (tmp_path / "absent").exists()
+
+    def test_sheafify_output_needs_a_file_in_a_directory(self, tmp_path, monkeypatch):
+        files = {
+            "s.json": corpus("site_luk3.json"),
+            "c.json": corpus("coverage_canonical.json"),
+            "p.json": corpus("presheaf_luk3_separated.json"),
+        }
+        stage(tmp_path, Case("", files, [], 0))
+        argv = ["sheafify"] + [str(tmp_path / name) for name in files]
+        report_path = tmp_path / "r.json"
+        loaded = []
+        monkeypatch.setattr(
+            "qsheaf.cli._load_inputs", lambda *args: loaded.append(args)
+        )
+        out = tmp_path / "absent" / "o.json"
+        code = main(argv + ["--out", str(out), "--json", str(report_path)])
+        assert code == 2 and loaded == []
+        assert json.loads(report_path.read_text())["verdicts"] == [{
+            "check": "out",
+            "checked": None,
+            "ok": False,
+            "witness": f"--out {out}: not a file in an existing directory",
+        }]
+        monkeypatch.undo()
+        # the default output path, next to the presheaf, is not checked
+        # ahead; a write that fails there gets the same verdict
+        (tmp_path / "p.sheaf.json").mkdir()
+        assert main(argv + ["--json", str(report_path)]) == 2
+        verdicts = json.loads(report_path.read_text())["verdicts"]
+        assert verdicts[-1]["check"] == "out" and not verdicts[-1]["ok"]
+        assert "Is a directory" in verdicts[-1]["witness"]
 
 
 # Coverage and presheaf files of the wrong shape: each must be reported as

@@ -2,6 +2,7 @@
 
 import pytest
 
+from monoidal_laws import verify_monoidal_laws
 from qsheaf.coverage import (
     CoverFamily,
     canonical_quantale_coverage,
@@ -17,7 +18,6 @@ from qsheaf.moncat import (
     coherence,
     trivial_equalizer,
     verify_appendix_suite,
-    verify_monoidal_laws,
 )
 from qsheaf.quantale import build_standard
 

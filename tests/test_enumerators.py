@@ -48,7 +48,6 @@ from qsheaf.sheaf import (
     _matching_families,
     check_sheaf_equalizer,
     compatible_families,
-    is_compatible,
 )
 
 SITES = {
@@ -109,6 +108,19 @@ def comparable(site):
         for v in objs
         if canon(v) != canon(u) and site.leq(v, u)
     ]
+
+
+def is_compatible(f, cover, sections) -> bool:
+    """Do the sections agree on every pairwise overlap?"""
+    legs = cover.legs
+    for i in range(len(legs)):
+        for j in range(i + 1, len(legs)):
+            t = f.site.overlap(legs[i], legs[j])
+            lhs = f.restrict(t, legs[i].dom)(sections[i])
+            rhs = f.restrict(t, legs[j].dom)(sections[j])
+            if lhs != rhs:
+                return False
+    return True
 
 
 def test_compatible_families_match_filtered_product(corpus_site):
@@ -421,7 +433,7 @@ def test_cover_keys_built_on_demand_are_the_eager_keys():
                     )
             assert hash(CoverFamily(fam.target, fam.legs)) == hash(key)
             assert CoverFamily(fam.target, fam.legs[::-1]) == fam
-            assert coverage.contains(CoverFamily(fam.target, fam.legs))
+            assert coverage.covers(fam.target, doms)
 
 
 def test_join_rule_checks_never_build_a_cover_key(monkeypatch):

@@ -1,5 +1,5 @@
-"""Source guards: every imported name is used, every export exists, and
-no module asserts.
+"""Source guards: every imported name is used, every public function is
+called by the program, every export exists, and no module asserts.
 
 An `assert` vanishes under `python -O`, and an `AssertionError` would
 reach the CLI as malformed input; internal checks raise `InternalDefect`.
@@ -10,6 +10,7 @@ breaks `from package import *`.
 import ast
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,53 @@ def unused_imports(tree) -> list:
                   if name not in used)
 
 
+def public_api(tree) -> dict:
+    """Public module-level functions and classmethods -> their definitions.
+
+    A classmethod is named `Class.method`.
+    """
+    defs = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            defs[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (
+                    isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and any(
+                        isinstance(d, ast.Name) and d.id == "classmethod"
+                        for d in item.decorator_list
+                    )
+                ):
+                    defs[f"{node.name}.{item.name}"] = item
+    return defs
+
+
+def names_read(tree) -> Counter:
+    """How often each name is read, as a `Name` or as an `Attribute`."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads[node.id] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads[node.attr] += 1
+    return reads
+
+
+def unused_api(program, callers) -> list:
+    """Public functions of the `program` trees read nowhere outside their
+    own bodies, in the program or in the `callers` trees."""
+    reads = sum(map(names_read, [*program, *callers]), Counter())
+    unused = []
+    for tree in program:
+        for name, node in public_api(tree).items():
+            short = name.rsplit(".", 1)[-1]
+            if reads[short] == names_read(node)[short]:
+                unused.append(name)
+    return sorted(unused)
+
+
 def assert_lines(tree) -> list:
     """Line numbers of the `assert` statements in a module."""
     return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
@@ -61,6 +109,42 @@ def test_guard_sees_an_unused_import():
 )
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+# Public functions that neither the program nor the benchmark calls, each
+# kept for the reason given; a name that gains a caller must leave the list.
+UNUSED_API = {
+    "corpus_dir": "the README shell recipe prints the corpus path with it",
+    "trivial_coverage": "the smallest lawful coverage, a base case for the"
+    " coverage enumeration and site catalogue of ROADMAP items 14, 15, 17",
+    "ThinCategory.from_ordered_monoid": "the down-set completions that"
+    " generate sites in ROADMAP item 5",
+    "sheaf_tensor": "the tensor of sheaves whose closed structure ROADMAP"
+    " item 6 checks",
+    "probe_pullback_preservation": "the non-lexness witness search of"
+    " ROADMAP item 8",
+    "product_sheaf": "the product-site sheaves of ROADMAP item 10",
+}
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_guard_sees_an_unused_function():
+    source = (
+        "def used():\n    return 1\n\n"
+        "def recursive():\n    return recursive()\n\n"
+        "class K:\n    @classmethod\n    def make(cls):\n        return cls()\n\n"
+        "    def method(self):\n        return used()\n"
+    )
+    caller = "import m\nm.K.make()\n"
+    assert unused_api([ast.parse(source)], []) == ["K.make", "recursive"]
+    assert unused_api([ast.parse(source)], [ast.parse(caller)]) == ["recursive"]
+
+
+def test_no_unused_api():
+    program = [ast.parse(path.read_text()) for path in SOURCES]
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    assert bench
+    assert unused_api(program, bench) == sorted(UNUSED_API)
 
 
 def test_guard_sees_an_assert():

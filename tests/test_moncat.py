@@ -3,6 +3,8 @@
 The l/r projection factorizations of the strong prelopology are asked
 only of thin sites, where `ThinCategory.l_r_factor` answers them by an
 order test; `tests/test_coverage.py` compares it with the generic search.
+Whether tensoring preserves equalizers is asked only here, by
+`tensor_preserves_equalizers` below.
 """
 
 import itertools
@@ -22,7 +24,6 @@ from qsheaf.moncat import (
     projection1,
     projection2,
     pseudo_pullback,
-    tensor_preserves_equalizers,
     trivial_equalizer,
 )
 from qsheaf.quantale import build_standard
@@ -34,6 +35,22 @@ def luk3_site():
 
 def tnat3_site():
     return ThinCategory.from_quantale(build_standard("truncated_nat", 3))
+
+
+def tensor_preserves_equalizers(c, u, f, g):
+    """Compare u (x) Eq(f,g) with Eq(id_u (x) f, id_u (x) g).
+
+    Returns (preserved, comparison morphism). The comparison is the
+    unique factorization of id_u (x) e through the second equalizer;
+    preservation means it is invertible.
+    """
+    _, e = c.equalizer(f, g)
+    id_u = c.identity(u)
+    _, e2 = c.equalizer(c.tensor_mor(id_u, f), c.tensor_mor(id_u, g))
+    gamma = c.factor_through_mono(e2, c.tensor_mor(id_u, e))
+    if gamma is None:
+        return False, None
+    return c.is_iso(gamma), gamma
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import pytest
 
 import finset_oracles as oracles
+from coverage_edits import without_family
 from qsheaf import finset
 from qsheaf.cli import corpus_dir
 from qsheaf.coverage import (
@@ -29,7 +30,6 @@ from qsheaf.presheaf import (
     day_convolve,
     day_projection1,
     day_projection2,
-    empty_presheaf,
     hom_presheaves,
     identity_morphism,
     iso_presheaves,
@@ -231,7 +231,10 @@ class TestStandardPresheaves:
     def test_terminal_and_empty(self):
         _, site = luk3_site()
         assert terminal_presheaf(site).total_size() == 3
-        assert empty_presheaf(site).total_size() == 0
+        empty = Presheaf(
+            site, {u: [] for u in site.objects()}, {vu: {} for vu in site.pairs()}
+        )
+        assert empty.total_size() == 0
 
     def test_standards_validate_everywhere(self):
         for name, param in [
@@ -265,7 +268,6 @@ CONSTRUCTORS = {
     "parse_presheaf": lambda site: parse_presheaf(site, {"at": {}}),
     "yoneda": lambda site: yoneda(site, site.unit),
     "terminal_presheaf": terminal_presheaf,
-    "empty_presheaf": empty_presheaf,
     "sieve_of": lambda site: sieve_of(site, CoverFamily(site.unit, [])),
 }
 
@@ -548,7 +550,7 @@ class TestSieveOracle:
 
     def test_mutated_luk3_coverage(self):
         site, canonical, _ = corpus_site("luk3")
-        mutated = canonical.without_family(family(site, ["0", "h"], "h"))
+        mutated = without_family(canonical, family(site, ["0", "h"], "h"))
         assert mutated.family_count() == canonical.family_count() - 1
         for cover in mutated.all_families():
             assert_sieve_is_the_coequalizer(site, cover)

@@ -1,5 +1,7 @@
 """Gluing, the two sheaf checkers, shifts, products, and the plus step."""
 
+import random
+
 import pytest
 
 from qsheaf import sheaf
@@ -10,14 +12,7 @@ from qsheaf.coverage import (
     product_coverage,
     trivial_coverage,
 )
-from qsheaf.errors import (
-    InternalDefect,
-    NotCompatible,
-    NotLocale,
-    QsheafError,
-    SectionOutOfSet,
-    SiteMismatch,
-)
+from qsheaf.errors import InternalDefect, InvalidSpec, NotLocale, SiteMismatch
 from qsheaf.moncat import ThinCategory
 from qsheaf.presheaf import (
     Presheaf,
@@ -31,13 +26,10 @@ from qsheaf.sheaf import (
     VERDICT_PRESHEAF,
     VERDICT_SEPARATED,
     VERDICT_SHEAF,
-    check_separated,
     check_sheaf,
     check_sheaf_equalizer,
     check_sheaf_orthogonal,
     compatible_families,
-    glue,
-    is_compatible,
     plus_construction,
     plus_with_unit,
     product_sheaf,
@@ -53,6 +45,16 @@ def site_of(name, param):
 
 def family(site, doms, target):
     return CoverFamily(target, [site.arrow(d, target) for d in doms])
+
+
+def glued(f, cover, sections):
+    """Every section over the target restricting to the given family."""
+    return sheaf._glue_buckets(f, cover).get(tuple(sections), [])
+
+
+def verdict_of(f, coverage):
+    """The one verdict of both checkers, which `check_sheaf` makes agree."""
+    return check_sheaf(f, coverage)[0].verdict
 
 
 def luk3_sep(site):
@@ -119,37 +121,20 @@ class TestGluing:
         q, site, cov = site_of("lukasiewicz_chain", 3)
         sep = luk3_sep(site)
         # {h,h} overlaps at h*h = 0 where everything collapses to s
-        assert is_compatible(sep, family(site, ["h", "h"], "h"), ("p", "q"))
+        assert ("p", "q") in compatible_families(sep, family(site, ["h", "h"], "h"))
         two = parse_presheaf(site, {
             "at": {"1": [], "h": ["a", "b"], "0": ["u", "v"]},
             "res": {"0<=h": {"a": "u", "b": "v"}, "0<=1": {}, "h<=1": {}},
         })
-        assert not is_compatible(two, family(site, ["0", "h"], "h"), ("u", "b"))
-        assert is_compatible(two, family(site, ["0", "h"], "h"), ("v", "b"))
-
-    def test_sections_are_validated(self):
-        q, site, cov = site_of("lukasiewicz_chain", 3)
-        sep = luk3_sep(site)
-        fam = family(site, ["h", "h"], "h")
-        with pytest.raises(SectionOutOfSet):
-            is_compatible(sep, fam, ("p",))
-        with pytest.raises(SectionOutOfSet):
-            is_compatible(sep, fam, ("p", "zz"))
-
-    def test_glue_rejects_incompatible(self):
-        q, site, cov = site_of("lukasiewicz_chain", 3)
-        two = parse_presheaf(site, {
-            "at": {"1": [], "h": ["a", "b"], "0": ["u", "v"]},
-            "res": {"0<=h": {"a": "u", "b": "v"}, "0<=1": {}, "h<=1": {}},
-        })
-        with pytest.raises(NotCompatible):
-            glue(two, family(site, ["0", "h"], "h"), ("u", "b"))
+        families = compatible_families(two, family(site, ["0", "h"], "h"))
+        assert ("u", "b") not in families
+        assert ("v", "b") in families
 
     def test_glue_counts(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
         sep = luk3_sep(site)
-        assert glue(sep, family(site, ["h", "h"], "h"), ("p", "q")) == []
-        assert glue(sep, family(site, ["h"], "h"), ("p",)) == ["p"]
+        assert glued(sep, family(site, ["h", "h"], "h"), ("p", "q")) == []
+        assert glued(sep, family(site, ["h"], "h"), ("p",)) == ["p"]
 
     def test_glue_multiple_and_empty_cover(self):
         q, site, cov = site_of("powerset_locale", 2)
@@ -164,9 +149,9 @@ class TestGluing:
             },
         })
         fam = family(site, ["{x}", "{y}"], "{xy}")
-        assert glue(doubled, fam, ("a", "b")) == ["z1", "z2"]
+        assert glued(doubled, fam, ("a", "b")) == ["z1", "z2"]
         empty = CoverFamily("{}", [])
-        assert glue(doubled, empty, ()) == ["s"]
+        assert glued(doubled, empty, ()) == ["s"]
         assert compatible_families(doubled, empty) == [()]
 
 
@@ -216,34 +201,83 @@ class TestVerdicts:
         q, site, cov = site_of("lukasiewicz_chain", 3)
         sep = luk3_sep(site)
         for method in ("equalizer", "orthogonal"):
-            report = check_sheaf(sep, cov, method=method)
+            (report,) = check_sheaf(sep, cov, (method,))
             assert report.verdict == VERDICT_SEPARATED, report.summary()
-        assert check_separated(sep, cov)
 
     def test_not_separated(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
         bad = luk3_doubled_bottom(site)
         for method in ("equalizer", "orthogonal"):
-            report = check_sheaf(bad, cov, method=method)
+            (report,) = check_sheaf(bad, cov, (method,))
             assert report.verdict == VERDICT_PRESHEAF, report.summary()
-        assert not check_separated(bad, cov)
         # the failure is the empty cover of the bottom
         report = check_sheaf_equalizer(bad, cov)
         assert "-> 0" in report.witness
 
     def test_two_over_middle_is_a_sheaf(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
-        report = check_sheaf(luk3_two_over_middle(site), cov)
-        assert report.ok
+        assert verdict_of(luk3_two_over_middle(site), cov) == VERDICT_SHEAF
 
     def test_method_dispatch(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
         t = terminal_presheaf(site)
-        assert check_sheaf(t, cov, "equalizer").method == "equalizer"
-        assert check_sheaf(t, cov, "orthogonal").method == "orthogonal"
-        assert check_sheaf(t, cov, "both").method == "equalizer"
-        with pytest.raises(QsheafError):
-            check_sheaf(t, cov, "banana")
+
+        def methods(*args):
+            return [r.method for r in check_sheaf(t, cov, *args)]
+
+        assert methods(("equalizer",)) == ["equalizer"]
+        assert methods(("orthogonal",)) == ["orthogonal"]
+        assert methods() == ["equalizer", "orthogonal"]
+        assert methods(("orthogonal", "equalizer")) == ["orthogonal", "equalizer"]
+        with pytest.raises(InvalidSpec):
+            check_sheaf(t, cov, ("banana",))
+
+    def test_unknown_method_is_refused_before_any_checker_runs(self, monkeypatch):
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+        ran = []
+        for name in ("check_sheaf_equalizer", "check_sheaf_orthogonal"):
+            monkeypatch.setattr(sheaf, name, lambda f, c, name=name: ran.append(name))
+        with pytest.raises(InvalidSpec, match="banana"):
+            check_sheaf(terminal_presheaf(site), cov, ("equalizer", "banana"))
+        assert ran == []
+
+    def test_rng_sets_the_run_order_not_the_report_order(self, monkeypatch):
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+        ran = []
+        for name in ("check_sheaf_equalizer", "check_sheaf_orthogonal"):
+            checker = getattr(sheaf, name)
+
+            def recording(f, c, checker=checker):
+                report = checker(f, c)
+                ran.append(report.method)
+                return report
+
+            monkeypatch.setattr(sheaf, name, recording)
+        orders = set()
+        for seed in range(4):
+            ran.clear()
+            reports = check_sheaf(terminal_presheaf(site), cov, rng=random.Random(seed))
+            expected = ["equalizer", "orthogonal"]
+            random.Random(seed).shuffle(expected)
+            assert ran == expected
+            assert [r.method for r in reports] == ["equalizer", "orthogonal"]
+            orders.add(tuple(ran))
+        assert len(orders) == 2
+
+    def test_disagreeing_checkers_are_an_internal_defect(self, monkeypatch):
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+        monkeypatch.setattr(
+            sheaf,
+            "check_sheaf_orthogonal",
+            lambda f, c: sheaf.SheafReport("orthogonal", VERDICT_PRESHEAF),
+        )
+        with pytest.raises(
+            InternalDefect,
+            match="the two sheaf definitions disagree: equalizer=sheaf, orthogonal=presheaf",
+        ):
+            check_sheaf(terminal_presheaf(site), cov)
+        (report,) = check_sheaf(terminal_presheaf(site), cov, ("equalizer",))
+        assert report.ok
 
     def test_site_mismatch(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
@@ -290,7 +324,7 @@ class TestVerdicts:
         q, site, cov = site_of("lukasiewicz_chain", 3)
         triv = trivial_coverage(site, q)
         for f in (luk3_sep(site), luk3_doubled_bottom(site)):
-            assert check_sheaf(f, triv).ok
+            assert verdict_of(f, triv) == VERDICT_SHEAF
 
 
 class TestShift:
@@ -309,10 +343,10 @@ class TestShift:
             luk3_two_over_middle(site),
         ]
         for f in sheaves:
-            assert check_sheaf(f, cov).ok
+            assert verdict_of(f, cov) == VERDICT_SHEAF
             for u in q.elements:
                 shifted = shift_presheaf(f, u)
-                assert check_sheaf(shifted, cov).ok, (f, u)
+                assert verdict_of(shifted, cov) == VERDICT_SHEAF, (f, u)
 
     def test_shift_of_non_sheaf_can_stay_broken(self):
         # shifting by the unit is the identity, so verdicts carry over
@@ -328,14 +362,14 @@ class TestProductSheaf:
         prod_cov = product_coverage(c1, c2)
         t = product_sheaf(terminal_presheaf(s1), terminal_presheaf(s2))
         assert iso_presheaves(t, terminal_presheaf(prod_cov.site)) is not None
-        assert check_sheaf(t, prod_cov).ok
+        assert verdict_of(t, prod_cov) == VERDICT_SHEAF
 
     def test_sheaf_times_sheaf_is_a_sheaf(self):
         q1, s1, c1 = site_of("lukasiewicz_chain", 3)
         q2, s2, c2 = site_of("chain_locale", 2)
         prod_cov = product_coverage(c1, c2)
         f = product_sheaf(yoneda(s1, "h"), terminal_presheaf(s2))
-        assert check_sheaf(f, prod_cov).ok
+        assert verdict_of(f, prod_cov) == VERDICT_SHEAF
 
     def test_sheaf_times_non_sheaf_fails(self):
         q1, s1, c1 = site_of("lukasiewicz_chain", 3)
@@ -346,8 +380,7 @@ class TestProductSheaf:
             "res": {"0<=1": {"a": "c"}},
         })
         f = product_sheaf(terminal_presheaf(s1), broken)
-        report = check_sheaf(f, prod_cov)
-        assert report.verdict == VERDICT_PRESHEAF
+        assert verdict_of(f, prod_cov) == VERDICT_PRESHEAF
 
 
 class TestPlusConstruction:
@@ -372,25 +405,25 @@ class TestPlusConstruction:
     def test_plus_of_separated_is_a_sheaf(self):
         q, site, cov = site_of("powerset_locale", 2)
         sep = powerset2_sep(site)
-        assert check_sheaf(sep, cov).verdict == VERDICT_SEPARATED
+        assert verdict_of(sep, cov) == VERDICT_SEPARATED
         plus, unit = plus_with_unit(sep, cov)
         sizes = {u: len(plus.value(u)) for u in ("{}", "{x}", "{y}", "{xy}")}
         assert sizes == {"{}": 1, "{x}": 2, "{y}": 2, "{xy}": 4}
-        assert check_sheaf(plus, cov).ok
+        assert verdict_of(plus, cov) == VERDICT_SHEAF
         assert unit.is_natural() and unit.is_mono() and not unit.is_iso()
 
     def test_plus_squared_reaches_the_section_sheaf(self):
         q, site, cov = site_of("powerset_locale", 2)
         const = powerset2_constant_two(site)
-        assert check_sheaf(const, cov).verdict == VERDICT_PRESHEAF
+        assert verdict_of(const, cov) == VERDICT_PRESHEAF
         once = plus_construction(const, cov)
         sizes1 = {u: len(once.value(u)) for u in ("{}", "{x}", "{y}", "{xy}")}
         assert sizes1 == {"{}": 1, "{x}": 2, "{y}": 2, "{xy}": 2}
-        assert check_sheaf(once, cov).verdict == VERDICT_SEPARATED
+        assert verdict_of(once, cov) == VERDICT_SEPARATED
         twice = plus_construction(once, cov)
         sizes2 = {u: len(twice.value(u)) for u in ("{}", "{x}", "{y}", "{xy}")}
         assert sizes2 == {"{}": 1, "{x}": 2, "{y}": 2, "{xy}": 4}
-        assert check_sheaf(twice, cov).ok
+        assert verdict_of(twice, cov) == VERDICT_SHEAF
 
     def test_empty_cover_merges_bottom_sections(self):
         q, site, cov = site_of("powerset_locale", 2)
@@ -404,6 +437,6 @@ class TestPlusConstruction:
                 "{}<={y}": {"b": "c"},
             },
         })
-        assert not check_separated(doubled, cov)
+        assert verdict_of(doubled, cov) == VERDICT_PRESHEAF
         plus, _ = plus_with_unit(doubled, cov)
         assert len(plus.value("{}")) == 1
