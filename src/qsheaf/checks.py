@@ -26,12 +26,6 @@ class CheckEntry:
     checked: int | None = None
     witness: str | None = None
 
-    def describe(self) -> str:
-        status = "pass" if self.ok else "FAIL"
-        count = "" if self.checked is None else f" ({self.checked} instances)"
-        tail = f" [{self.witness}]" if self.witness else ""
-        return f"{status} {self.name}{count}{tail}"
-
 
 @dataclass
 class CheckReport:
@@ -46,12 +40,6 @@ class CheckReport:
 
     def failures(self) -> list:
         return [e for e in self.entries if not e.ok]
-
-    def summary(self) -> str:
-        if self.heading is None:
-            return "\n".join(e.describe() for e in self.entries)
-        lines = [self.heading] + ["  " + e.describe() for e in self.entries]
-        return "\n".join(lines)
 
 
 def drain(name: str, failures) -> CheckEntry:

@@ -101,10 +101,6 @@ class RunReport:
         for e in entries:
             self.add(prefix + e.name, e.ok, e.witness, e.checked)
 
-    @property
-    def ok(self) -> bool:
-        return all(v["ok"] for v in self.verdicts)
-
     def to_dict(self) -> dict:
         return {
             "command": self.command,
@@ -375,7 +371,7 @@ def _cmd_sub(args, report: RunReport, rng) -> int:
             lattice=lattice,
             battery=battery,
         )
-        table[f"S{i}*S{j}"] = f"S{lattice.index_of(fact.mono.src)}"
+        table[f"S{i}*S{j}"] = f"S{fact.index}"
         certified = certified and fact.epi_certified
     report.configuration["star"] = table
     report.add(

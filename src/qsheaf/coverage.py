@@ -45,8 +45,8 @@ class CoverFamily:
 
     The legs are checked against the target on construction, and their
     domains, all that membership reads, are kept as a tuple. The sort
-    key, the target's name with the sorted leg keys, is built on first
-    use by `key`, equality or hashing.
+    key, the target's name with the sorted domain names (which fix a
+    family on a thin site), is built on first use by `key`, `==` or `hash`.
     """
 
     __slots__ = ("target", "legs", "_domains", "_key")
@@ -71,7 +71,7 @@ class CoverFamily:
             object.__setattr__(
                 self,
                 "_key",
-                (canon(self.target), tuple(sorted(m.key() for m in self.legs))),
+                (canon(self.target), tuple(sorted(map(canon, self._domains)))),
             )
         return self._key
 

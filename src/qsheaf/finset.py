@@ -17,9 +17,6 @@ import itertools
 
 from .errors import CodomainMismatch, DomainMismatch, InvalidSpec
 
-Label = str | int
-
-
 def label_key(label):
     """Sort key placing integer labels before string labels."""
     if isinstance(label, bool) or not isinstance(label, (int, str)):
@@ -104,10 +101,6 @@ class FinMap:
     def __repr__(self):
         pairs = ",".join(f"{x}->{self.assignment[x]}" for x in self.dom.elements)
         return f"FinMap({pairs})"
-
-    def then(self, g: "FinMap") -> "FinMap":
-        """Diagrammatic composite: self followed by g."""
-        return compose(g, self)
 
     def is_injective(self) -> bool:
         return len(set(self.assignment.values())) == len(self.dom)

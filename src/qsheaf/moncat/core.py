@@ -44,16 +44,6 @@ def canon(obj) -> str:
     return str(obj)
 
 
-def _data_key(data):
-    if data is None:
-        return ""
-    if isinstance(data, FinMap):
-        return repr(data)
-    if isinstance(data, tuple):
-        return "(" + "|".join(_data_key(d.data) for d in data) + ")"
-    return repr(data)
-
-
 class Mor:
     """A morphism handle: domain, codomain, instance-specific payload.
 
@@ -86,9 +76,6 @@ class Mor:
             h = hash((self.dom, self.cod, self.data))
             object.__setattr__(self, "_hash", h)
         return h
-
-    def key(self):
-        return (canon(self.dom), canon(self.cod), _data_key(self.data))
 
     def __repr__(self):
         return f"Mor({canon(self.dom)} -> {canon(self.cod)})"
@@ -142,9 +129,6 @@ class MonoidalCategory:
         raise NotImplementedError
 
     def equalizer(self, f: Mor, g: Mor):
-        raise NotImplementedError
-
-    def is_iso(self, m: Mor) -> bool:
         raise NotImplementedError
 
     def factor_through_mono(self, m: Mor, h: Mor):
@@ -383,9 +367,6 @@ class ThinCategory(MonoidalCategory):
         self._check_parallel(f, g)
         return f.dom, self.identity(f.dom)
 
-    def is_iso(self, m):
-        return m.dom == m.cod
-
     def factor_through_mono(self, m, h):
         if h.cod != m.cod:
             raise CodomainMismatch("factorization needs a common codomain")
@@ -574,9 +555,6 @@ class FinSetCategory(MonoidalCategory):
         sub, incl = finset.equalizer(f.data, g.data)
         return sub, Mor(sub, f.dom, incl)
 
-    def is_iso(self, m):
-        return m.data.is_bijective()
-
     def factor_through_mono(self, m, h):
         if h.cod != m.cod:
             raise CodomainMismatch("factorization needs a common codomain")
@@ -694,9 +672,6 @@ class ProductCategory(MonoidalCategory):
         o1, e1 = self.c1.equalizer(f.data[0], g.data[0])
         o2, e2 = self.c2.equalizer(f.data[1], g.data[1])
         return (o1, o2), self._pair(e1, e2)
-
-    def is_iso(self, m):
-        return self.c1.is_iso(m.data[0]) and self.c2.is_iso(m.data[1])
 
     def factor_through_mono(self, m, h):
         u1 = self.c1.factor_through_mono(m.data[0], h.data[0])

@@ -109,11 +109,6 @@ class Presheaf:
         return f"Presheaf({sizes})"
 
 
-@dataclass
-class PresheafValidation(CheckReport):
-    presheaf: Presheaf | None = None
-
-
 def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
     require_thin(site)
     if not isinstance(raw, dict) or not isinstance(raw.get("at"), dict):
@@ -150,7 +145,7 @@ def parse_presheaf(site: ThinCategory, raw: dict) -> Presheaf:
     return Presheaf(site, at, res)
 
 
-def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation:
+def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> CheckReport:
     """Functoriality audit: all composition triangles.
 
     Identities need no audit: `Presheaf` stores the identity at every
@@ -163,7 +158,7 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
         try:
             p = parse_presheaf(site, raw_or_presheaf)
         except (InvalidSpec, MissingRestriction) as exc:
-            return PresheafValidation(
+            return CheckReport(
                 entries=[CheckEntry("structure", False, witness=str(exc))]
             )
     objs = site.objects()
@@ -179,8 +174,7 @@ def validate_presheaf(site: ThinCategory, raw_or_presheaf) -> PresheafValidation
         ),
         None,
     )
-    entries = [CheckEntry("composition", bad is None, witness=bad)]
-    return PresheafValidation(entries=entries, presheaf=p)
+    return CheckReport(entries=[CheckEntry("composition", bad is None, witness=bad)])
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +416,12 @@ def iso_presheaves(f: Presheaf, g: Presheaf):
 
 
 def _day_tag(cv, cw, x, y):
-    return f"{cv}|{cw}|{x}|{y}"
+    """The fields of a part joined by "|": a string field with "\\" and "|"
+    escaped, an integer one after a "\\", so distinct parts get distinct tags."""
+    return "|".join([
+        f"\\{p}" if isinstance(p, int) else p.replace("\\", "\\\\").replace("|", "\\|")
+        for p in (cv, cw, x, y)
+    ])
 
 
 def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
@@ -471,34 +470,21 @@ def _day_parts(f: Presheaf, g: Presheaf, u):
     return out
 
 
-def _day_projection(f: Presheaf, g: Presheaf, conv, side: int):
-    """The map (f*g)(u) -> f(u) (side 0) or g(u) (side 1), restricting down to u."""
+def day_projections(f: Presheaf, g: Presheaf, conv: Presheaf):
+    """The maps (f*g)(u) -> f(u) and -> g(u) of ``conv = day_convolve(f, g)``,
+    restricting each factor down to u along ``u <= v*w <= v, w``."""
     site = f.site
     if not is_semicartesian(site):
-        raise NotSemicartesian(
-            f"convolution projections need u <= v*w <= {'vw'[side]}"
-        )
-    if conv is None:
-        conv = day_convolve(f, g)
-    factor = (f, g)[side]
-    comps = {}
+        raise NotSemicartesian("convolution projections need u <= v*w <= v")
+    left, right = {}, {}
     for u in site.objects():
         parts = _day_parts(f, g, u)
-        comps[u] = {
-            rep: factor.restrict(u, parts[rep][side])(parts[rep][2 + side])
-            for rep in conv.value(u)
-        }
-    return PresheafMorphism(conv, factor, comps)
-
-
-def day_projection1(f: Presheaf, g: Presheaf, conv: Presheaf = None):
-    """The map (f*g)(u) -> f(u) restricting the left factor down to u."""
-    return _day_projection(f, g, conv, 0)
-
-
-def day_projection2(f: Presheaf, g: Presheaf, conv: Presheaf = None):
-    """The map (f*g)(u) -> g(u) restricting the right factor down to u."""
-    return _day_projection(f, g, conv, 1)
+        left[u], right[u] = {}, {}
+        for rep in conv.value(u):
+            v, w, x, y = parts[rep]
+            left[u][rep] = f.restrict(u, v)(x)
+            right[u][rep] = g.restrict(u, w)(y)
+    return PresheafMorphism(conv, f, left), PresheafMorphism(conv, g, right)
 
 
 # ---------------------------------------------------------------------------

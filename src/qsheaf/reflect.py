@@ -7,7 +7,10 @@ leg get merged (a coequalizer). Each sweep applies all forcing steps
 simultaneously and canonically relabels; a sweep with nothing to do is
 the fixpoint. The construction is certified, never trusted: the result
 must pass both sheaf checks and the unit must induce hom-set bijections
-against an exhaustively enumerated battery of small sheaves.
+against an exhaustively enumerated battery of small sheaves. The battery
+prunes its tables with the equalizer check's own gluing count
+(`sheaf._families` and `sheaf._glue_buckets`), and audits every member
+with `check_sheaf_equalizer` at the end.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .errors import (
     InvalidSpec,
     MulNotAssociative,
     NotConverged,
-    QsheafError,
     SiteMismatch,
     UnverifiedInput,
 )
@@ -31,10 +33,9 @@ from .finset import FinMap, FinSetObj, UnionFind, label_key
 from .presheaf import (
     Presheaf,
     PresheafMorphism,
-    day_convolve,
-    day_projection1,
-    day_projection2,
     backtrack,
+    day_convolve,
+    day_projections,
     hom_presheaves,
     identity_morphism,
     iso_presheaves,
@@ -43,6 +44,7 @@ from .presheaf import (
 )
 from .quantale import _closure, _least_upper_bound, parse_raw
 from .sheaf import (
+    _families,
     _glue_buckets,
     check_sheaf,
     check_sheaf_equalizer,
@@ -63,7 +65,7 @@ def _forcing_ops(f: Presheaf, coverage: Coverage):
     """Missing gluings and ambiguous gluings, scanned over all covers."""
     exist, unify = [], []
     for cover in coverage.all_families():
-        buckets = _glue_buckets(f, cover)
+        buckets = _glue_buckets(f._at, f._res, cover)
         for sig in sorted(buckets):
             zs = buckets[sig]
             for z in zs[1:]:
@@ -185,28 +187,12 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     at, res = {}, {}
 
     def sheaf_ok_at(u):
+        """No cover of u has two sections in one bucket or an unglued family."""
         for cover in coverage.families(u):
-            maps = [res[(leg.dom, u)] for leg in cover.legs]
-            buckets = {}
-            for z in at[u]:
-                buckets.setdefault(tuple(m(z) for m in maps), []).append(z)
+            buckets = _glue_buckets(at, res, cover)
             if any(len(zs) > 1 for zs in buckets.values()):
                 return False
-            legs = cover.legs
-
-            def agree(i, k, xi, xk):
-                t = site.overlap(legs[i], legs[k])
-                return res[(t, legs[i].dom)](xi) == res[(t, legs[k].dom)](xk)
-
-            def sections(k, chosen):
-                return [
-                    x
-                    for x in at[legs[k].dom]
-                    if all(agree(i, k, xi, x) for i, xi in enumerate(chosen))
-                ]
-
-            families = backtrack(len(legs), sections)
-            if any(fam not in buckets for fam in families):
+            if any(fam not in buckets for fam in _families(site, at, res, cover)):
                 return False
         return True
 
@@ -308,14 +294,14 @@ def sheaf_tensor(f: Presheaf, g: Presheaf, coverage: Coverage,
     return result.sheaf
 
 
-def preserves_terminal(coverage: Coverage, max_iter: int = 16) -> CheckEntry:
+def preserves_terminal(coverage: Coverage) -> CheckEntry:
     """Does reflecting the terminal presheaf leave it terminal?
 
     On failure the witness is the reflected section counts, or
-    "not converged" when forcing hit `max_iter`.
+    "not converged" when forcing hit its iteration bound.
     """
     site = coverage.site
-    result = sheafify(terminal_presheaf(site), coverage, max_iter)
+    result = sheafify(terminal_presheaf(site), coverage)
     if not result.converged:
         return CheckEntry("terminal-preserved", False, witness="not converged")
     sizes = {site.name(u): len(result.sheaf.value(u)) for u in site.objects()}
@@ -331,22 +317,8 @@ def preserves_terminal(coverage: Coverage, max_iter: int = 16) -> CheckEntry:
 @dataclass
 class SubobjectLattice:
     ambient: Presheaf
-    coverage: Coverage
     members: list
     inclusions: list
-
-    def index_of(self, sub: Presheaf) -> int:
-        for i, m in enumerate(self.members):
-            if m == sub:
-                return i
-        raise QsheafError("presheaf is not a member of this lattice")
-
-    def leq(self, i: int, j: int) -> bool:
-        a, b = self.members[i], self.members[j]
-        return all(
-            set(a.value(u).elements) <= set(b.value(u).elements)
-            for u in self.ambient.objects()
-        )
 
     def meet(self, i: int, j: int) -> int:
         a, b = self.members[i], self.members[j]
@@ -360,21 +332,6 @@ class SubobjectLattice:
         raise InternalDefect(
             "internal defect: subsheaves are not closed under intersection"
         )
-
-    def join(self, i: int, j: int) -> int:
-        uppers = [
-            k
-            for k in range(len(self.members))
-            if self.leq(i, k) and self.leq(j, k)
-        ]
-        least = [
-            k for k in uppers if all(self.leq(k, other) for other in uppers)
-        ]
-        if len(least) != 1:
-            raise InternalDefect(
-                "internal defect: join of subsheaves is not unique"
-            )
-        return least[0]
 
 
 # the most candidate subpresheaves (the product of 2^|f(u)|) enumerated
@@ -431,13 +388,14 @@ def subsheaf_lattice(f: Presheaf, coverage: Coverage) -> SubobjectLattice:
     for p in members:
         comps = {u: {x: x for x in p.value(u)} for u in f.objects()}
         inclusions.append(PresheafMorphism(p, f, comps, check=False))
-    return SubobjectLattice(f, coverage, members, inclusions)
+    return SubobjectLattice(f, members, inclusions)
 
 
 @dataclass
 class ExtremalFactorization:
     epi: PresheafMorphism
     mono: PresheafMorphism
+    index: int  # of the image among the lattice's members
     epi_certified: bool
     battery_size: int
 
@@ -483,7 +441,7 @@ def extremal_factorize(
                 break
         if not certified:
             break
-    return ExtremalFactorization(epi, mono, certified, len(battery))
+    return ExtremalFactorization(epi, mono, least, certified, len(battery))
 
 
 def _extend_along_unit(result: ReflectionResult, psi: PresheafMorphism):
@@ -506,7 +464,6 @@ def star(
     coverage: Coverage,
     lattice: SubobjectLattice | None = None,
     battery: list | None = None,
-    max_iter: int = 16,
 ) -> ExtremalFactorization:
     """The subobject reached by tensoring two subobjects inside a sheaf.
 
@@ -519,9 +476,8 @@ def star(
         raise UnverifiedInput("star needs mono inclusions")
     f = left.dst
     conv = day_convolve(left.src, right.src)
-    p1 = day_projection1(left.src, right.src, conv)
-    p2 = day_projection2(left.src, right.src, conv)
-    result = sheafify(conv, coverage, max_iter)
+    p1, p2 = day_projections(left.src, right.src, conv)
+    result = sheafify(conv, coverage)
     if not result.converged:
         raise NotConverged("star reflection hit the iteration bound")
     phi1 = _extend_along_unit(result, p1.then(left))

@@ -2,12 +2,13 @@
 
 The first checker enumerates compatible families and counts gluings,
 cross-checking itself against the literal equalizer diagram (built with
-the finite-set kernel) whenever the diagram is small. The second checker
-tests orthogonality against canonical sieve inclusions by enumerating
-natural transformations on both sides. `check_sheaf` is the one place
-that runs them together: the two must always agree, and it raises
-`InternalDefect` when they do not, a defect of this library, never of
-the input.
+the finite-set kernel) whenever the diagram is small. Sheafification's
+forcing scan and the battery in `reflect` count with its own helpers.
+The second checker tests orthogonality against canonical sieve
+inclusions by enumerating natural transformations on both sides.
+`check_sheaf` is the one place that runs them together: the two must
+always agree, and it raises `InternalDefect` when they do not, a defect
+of this library, never of the input.
 """
 
 from __future__ import annotations
@@ -42,27 +43,48 @@ _GRADE = {VERDICT_SHEAF: 2, VERDICT_SEPARATED: 1, VERDICT_PRESHEAF: 0}
 CROSSCHECK_THRESHOLD = 4096
 
 
-def compatible_families(f: Presheaf, cover: CoverFamily) -> list:
-    """All compatible section tuples for a cover, by backtracking."""
-    site = f.site
+def _families(site, at, res, cover):
+    """Compatible section tuples for a cover, lazily, by backtracking.
+
+    `at` and `res` have a `Presheaf`'s table shape (``u -> FinSetObj``,
+    ``(v, u) -> FinMap``, identities included), as the battery's do.
+    """
     legs = cover.legs
-    maps = {}  # restriction maps per leg pair
+    maps = {}  # restriction tables per leg pair
 
     def agree(i, k, xi, xk):
         if (i, k) not in maps:
             t = site.overlap(legs[i], legs[k])
-            maps[i, k] = (f.restrict(t, legs[i].dom), f.restrict(t, legs[k].dom))
+            maps[i, k] = (
+                res[t, legs[i].dom].assignment,
+                res[t, legs[k].dom].assignment,
+            )
         left, right = maps[i, k]
-        return left(xi) == right(xk)
+        return left[xi] == right[xk]
 
     def sections(k, chosen):
         return [
             x
-            for x in f.value(legs[k].dom)
+            for x in at[legs[k].dom]
             if all(agree(i, k, xi, x) for i, xi in enumerate(chosen))
         ]
 
-    return list(backtrack(len(legs), sections))
+    return backtrack(len(legs), sections)
+
+
+def compatible_families(f: Presheaf, cover: CoverFamily) -> list:
+    """All compatible section tuples for a cover, by backtracking."""
+    return list(_families(f.site, f._at, f._res, cover))
+
+
+def _glue_buckets(at, res, cover: CoverFamily) -> dict:
+    """Restriction signature -> sections over the target, read as `_families` reads."""
+    target = cover.target
+    maps = [res[leg.dom, target].assignment for leg in cover.legs]
+    buckets = {}
+    for z in at[target]:
+        buckets.setdefault(tuple([m[z] for m in maps]), []).append(z)
+    return buckets
 
 
 @dataclass(frozen=True)
@@ -93,30 +115,12 @@ class SheafReport:
     def ok(self) -> bool:
         return self.verdict == VERDICT_SHEAF
 
-    def summary(self) -> str:
-        lines = [f"{self.method}: {self.verdict}"]
-        for o in self.outcomes:
-            if o.verdict != VERDICT_SHEAF:
-                lines.append(
-                    f"  {o.cover!r}: {o.families} families, "
-                    f"{o.unglued} without gluing, {o.ambiguous} ambiguous"
-                )
-        if self.cross_checked:
-            lines.append(f"  equalizer diagrams cross-checked: {self.cross_checked}")
-        if self.witness:
-            lines.append(f"  witness: {self.witness}")
-        return "\n".join(lines)
-
-
-def _glue_buckets(f: Presheaf, cover: CoverFamily) -> dict:
-    """Restriction signature -> sections over the target realizing it."""
-    target = cover.target
-    maps = [f.restrict(leg.dom, target) for leg in cover.legs]
-    buckets = {}
-    for z in f.value(target):
-        sig = tuple(m(z) for m in maps)
-        buckets.setdefault(sig, []).append(z)
-    return buckets
+    def add(self, outcome: CoverOutcome) -> None:
+        """Record a cover's outcome; a worse one lowers the verdict and is named."""
+        self.outcomes.append(outcome)
+        if _GRADE[outcome.verdict] < _GRADE[self.verdict]:
+            self.verdict = outcome.verdict
+            self.witness = f"cover {outcome.cover!r}"
 
 
 def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome):
@@ -180,7 +184,7 @@ def check_sheaf_equalizer(f: Presheaf, coverage: Coverage) -> SheafReport:
         raise SiteMismatch("presheaf and coverage live on different sites")
     report = SheafReport("equalizer", VERDICT_SHEAF)
     for cover in coverage.all_families():
-        buckets = _glue_buckets(f, cover)
+        buckets = _glue_buckets(f._at, f._res, cover)
         families = compatible_families(f, cover)
         unglued = ambiguous = 0
         for fam in families:
@@ -190,12 +194,9 @@ def check_sheaf_equalizer(f: Presheaf, coverage: Coverage) -> SheafReport:
             elif n > 1:
                 ambiguous += 1
         outcome = CoverOutcome(cover, len(families), unglued, ambiguous)
-        report.outcomes.append(outcome)
+        report.add(outcome)
         if _diagram_crosscheck(f, cover, outcome):
             report.cross_checked += 1
-        if _GRADE[outcome.verdict] < _GRADE[report.verdict]:
-            report.verdict = outcome.verdict
-            report.witness = f"cover {cover!r}"
     return report
 
 
@@ -221,11 +222,7 @@ def check_sheaf_orthogonal(f: Presheaf, coverage: Coverage) -> SheafReport:
         images = set(precomposed)
         unglued = len(set(homs_sieve) - images)
         ambiguous = len(precomposed) - len(images)
-        outcome = CoverOutcome(cover, len(homs_sieve), unglued, ambiguous)
-        report.outcomes.append(outcome)
-        if _GRADE[outcome.verdict] < _GRADE[report.verdict]:
-            report.verdict = outcome.verdict
-            report.witness = f"cover {cover!r}"
+        report.add(CoverOutcome(cover, len(homs_sieve), unglued, ambiguous))
     return report
 
 

@@ -1,4 +1,4 @@
-"""The categorical-law suite that only the tests run.
+"""The categorical-law suite and the iso test that only the tests run.
 
 `qsheaf.moncat.coherence.verify_appendix_suite` checks what the sheaf
 machinery depends on. The composition, identity and braiding laws here
@@ -8,6 +8,7 @@ and deliberately broken instances through the same suite runner.
 
 import itertools
 
+from qsheaf.moncat import FinSetCategory, ProductCategory
 from qsheaf.moncat.coherence import (
     _gen_pentagon,
     _gen_triangle,
@@ -74,6 +75,19 @@ _MONOIDAL_LAWS = (
     ("braid-symmetry", _gen_braid_symmetry),
     ("braid-hexagon", _gen_braid_hexagon),
 )
+
+
+def is_iso(c, m) -> bool:
+    """Is the morphism `m` of the instance `c` invertible?
+
+    A finite-set map is when it is a bijection, a pair when both
+    components are, and an arrow of a thin site when it is an identity.
+    """
+    if isinstance(c, ProductCategory):
+        return is_iso(c.c1, m.data[0]) and is_iso(c.c2, m.data[1])
+    if isinstance(c, FinSetCategory):
+        return m.data.is_bijective()
+    return m.dom == m.cod
 
 
 def verify_monoidal_laws(instance, size_bound=None):

@@ -15,8 +15,9 @@ import time
 import pytest
 
 from coverage_edits import with_family, without_family
+from monoidal_laws import is_iso
 from qsheaf import coverage as coverage_module
-from qsheaf.checks import drain
+from qsheaf.checks import CheckEntry, drain
 from qsheaf.cli import corpus_dir
 from qsheaf.coverage import (
     CoverFamily,
@@ -175,7 +176,7 @@ class TestFlavorCheckers:
     def test_strong_prelopology_instance_counts(self):
         _, _, cov = make("lukasiewicz_chain", 3)
         report = check_flavor(cov, "strong_prelopology")
-        assert report.ok, report.summary()
+        assert report.ok, report.failures()
         by_name = {e.name: e.checked for e in report.entries}
         assert by_name == {
             "iso-singletons": 3,
@@ -184,10 +185,8 @@ class TestFlavorCheckers:
             "ppb-stability": 138,
             "projection-factorizations": 78,
         }
-        assert report.summary().splitlines()[:2] == [
-            "coverage flavor check: strong_prelopology",
-            "  pass iso-singletons (3 instances)",
-        ]
+        assert report.heading == "coverage flavor check: strong_prelopology"
+        assert report.entries[0] == CheckEntry("iso-singletons", True, 3)
 
     def test_canonical_is_strong_prelopology_everywhere(self):
         for name, param in [
@@ -199,13 +198,13 @@ class TestFlavorCheckers:
         ]:
             _, _, cov = make(name, param)
             report = check_flavor(cov, "strong_prelopology")
-            assert report.ok, f"{name}({param}):\n{report.summary()}"
+            assert report.ok, f"{name}({param}): {report.failures()}"
 
     def test_trivial_coverage_is_lawful(self):
         for name, param in [("lukasiewicz_chain", 3), ("powerset_locale", 2)]:
             q, site, _ = make(name, param)
             report = check_flavor(trivial_coverage(site, q), "strong_prelopology")
-            assert report.ok, report.summary()
+            assert report.ok, report.failures()
 
     def test_trivial_on_locale_is_pretopology(self):
         q, site, _ = make("powerset_locale", 2)
@@ -220,7 +219,7 @@ class TestFlavorCheckers:
         for name, param in [("powerset_locale", 2), ("chain_locale", 3)]:
             _, _, cov = make(name, param)
             report = check_flavor(cov, "pretopology")
-            assert report.ok, report.summary()
+            assert report.ok, report.failures()
 
     def test_flavor_dispatch(self):
         _, _, cov = make("lukasiewicz_chain", 3)
@@ -606,7 +605,7 @@ def oracle_iso_singletons(cov):
     for u in site.objects():
         for w in site.objects():
             for m in site.hom(w, u):
-                if site.is_iso(m):
+                if is_iso(site, m):
                     yield None if oracle_contains(cov, CoverFamily(u, [m])) else (
                         f"iso singleton {canon(w)} -> {canon(u)} missing"
                     )

@@ -81,7 +81,6 @@ def test_compose_and_identity():
     g = fmap(["x", "y"], [0, 1], [("x", 0), ("y", 1)])
     gf = finset.compose(g, f)
     assert gf("a") == 0 and gf("b") == 1
-    assert f.then(g) == gf
     ida = finset.identity(f.dom)
     assert finset.compose(f, ida) == f
     with pytest.raises(DomainMismatch):

@@ -1,5 +1,6 @@
-"""Source guards: every imported name is used, every public function is
-called by the program, every export exists, and no module asserts.
+"""Source guards: every imported name is used, every public function and
+method is called by the program, every export exists, and no module
+asserts.
 
 An `assert` vanishes under `python -O`, and an `AssertionError` would
 reach the CLI as malformed input; internal checks raise `InternalDefect`.
@@ -47,9 +48,10 @@ def unused_imports(tree) -> list:
 
 
 def public_api(tree) -> dict:
-    """Public module-level functions and classmethods -> their definitions.
+    """Public module-level functions, and the public methods, classmethods
+    and properties of module-level classes -> their definitions.
 
-    A classmethod is named `Class.method`.
+    A method is named `Class.method`.
     """
     defs = {}
     for node in tree.body:
@@ -57,14 +59,7 @@ def public_api(tree) -> dict:
             defs[node.name] = node
         elif isinstance(node, ast.ClassDef):
             for item in node.body:
-                if (
-                    isinstance(item, ast.FunctionDef)
-                    and not item.name.startswith("_")
-                    and any(
-                        isinstance(d, ast.Name) and d.id == "classmethod"
-                        for d in item.decorator_list
-                    )
-                ):
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     defs[f"{node.name}.{item.name}"] = item
     return defs
 
@@ -81,8 +76,13 @@ def names_read(tree) -> Counter:
 
 
 def unused_api(program, callers) -> list:
-    """Public functions of the `program` trees read nowhere outside their
-    own bodies, in the program or in the `callers` trees."""
+    """Public functions and methods of the `program` trees read nowhere
+    outside their own bodies, in the program or in the `callers` trees.
+
+    Reads are matched by name alone, since the guard knows no types: a
+    method whose name another definition shares (`is_iso`, `then`) counts
+    as used when any definition of that name is read.
+    """
     reads = sum(map(names_read, [*program, *callers]), Counter())
     unused = []
     for tree in program:
@@ -111,7 +111,7 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
 
 
-# Public functions that neither the program nor the benchmark calls, each
+# Public functions and methods that neither the program nor the benchmark calls, each
 # kept for the reason given; a name that gains a caller must leave the list.
 UNUSED_API = {
     "corpus_dir": "the README shell recipe prints the corpus path with it",
@@ -133,10 +133,11 @@ def test_guard_sees_an_unused_function():
         "def used():\n    return 1\n\n"
         "def recursive():\n    return recursive()\n\n"
         "class K:\n    @classmethod\n    def make(cls):\n        return cls()\n\n"
-        "    def method(self):\n        return used()\n"
+        "    @property\n    def size(self):\n        return used()\n\n"
+        "    def method(self):\n        return self.size\n"
     )
-    caller = "import m\nm.K.make()\n"
-    assert unused_api([ast.parse(source)], []) == ["K.make", "recursive"]
+    caller = "import m\nm.K.make().method()\n"
+    assert unused_api([ast.parse(source)], []) == ["K.make", "K.method", "recursive"]
     assert unused_api([ast.parse(source)], [ast.parse(caller)]) == ["recursive"]
 
 

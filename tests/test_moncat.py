@@ -12,6 +12,7 @@ import itertools
 import pytest
 
 import finset_oracles as oracles
+from monoidal_laws import is_iso
 from qsheaf import finset
 from qsheaf.errors import CodomainMismatch, DomainMismatch, InvalidSpec
 from qsheaf.finset import FinMap, FinSetObj
@@ -50,7 +51,7 @@ def tensor_preserves_equalizers(c, u, f, g):
     gamma = c.factor_through_mono(e2, c.tensor_mor(id_u, e))
     if gamma is None:
         return False, None
-    return c.is_iso(gamma), gamma
+    return is_iso(c, gamma), gamma
 
 
 # ---------------------------------------------------------------------------

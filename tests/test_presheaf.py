@@ -28,8 +28,7 @@ from qsheaf.presheaf import (
     Presheaf,
     PresheafMorphism,
     day_convolve,
-    day_projection1,
-    day_projection2,
+    day_projections,
     hom_presheaves,
     identity_morphism,
     iso_presheaves,
@@ -194,12 +193,12 @@ class TestPresheafStructure:
     def test_validation_reports_structure_errors(self):
         _, site = luk3_site()
         report = validate_presheaf(site, {"at": {"1": []}})
-        assert not report.ok and report.presheaf is None
+        assert [(e.name, e.ok) for e in report.entries] == [("structure", False)]
 
     def test_validation_passes_lawful_input(self):
         _, site = luk3_site()
         report = validate_presheaf(site, sep_presheaf(site).to_raw())
-        assert report.ok, report.summary()
+        assert report.ok, report.failures()
 
 
 class TestStandardPresheaves:
@@ -414,6 +413,24 @@ class TestDayConvolution:
                     expected = yoneda(site, q.mul(a, b))
                     assert iso_presheaves(conv, expected) is not None, (a, b)
 
+    @pytest.mark.parametrize("left, right", [
+        (["p", "p|q"], ["q|r", "r"]),  # ("p|q", "r") and ("p", "q|r")
+        # escaping "|" alone would tag ("a\\", "b|c") as ("a|b\\", "c")
+        (["a\\", "a|b\\"], ["b|c", "c"]),
+        ([1, "1"], ["q", "r"]),  # 1 and "1" print alike
+    ], ids=["pipe", "backslash", "int-and-str"])
+    def test_parts_keep_distinct_tags(self, left, right):
+        site = ThinCategory.from_quantale(build_standard("chain_locale", 2))
+
+        def constant(labels):
+            res = {vu: {x: x for x in labels} for vu in site.pairs()}
+            return Presheaf(site, {u: labels for u in site.objects()}, res)
+
+        conv = day_convolve(constant(left), constant(right))
+        relabelled = day_convolve(constant(["a", "b"]), constant(["c", "d"]))
+        assert [len(conv.value(u)) for u in site.objects()] == [4, 4]
+        assert iso_presheaves(conv, relabelled) is not None
+
     def test_unit_laws(self):
         q, site = luk3_site()
         unit = yoneda(site, site.unit)
@@ -437,8 +454,7 @@ class TestDayConvolution:
         q, site = luk3_site()
         f, g = sep_presheaf(site), terminal_presheaf(site)
         conv = day_convolve(f, g)
-        p1 = day_projection1(f, g, conv)
-        p2 = day_projection2(f, g, conv)
+        p1, p2 = day_projections(f, g, conv)
         assert p1.src == conv and p1.dst == f
         assert p2.src == conv and p2.dst == g
         assert p1.is_natural() and p2.is_natural()
@@ -457,8 +473,8 @@ class TestDayConvolution:
         q = validate_quantale(raw)
         site = ThinCategory.from_quantale(q)
         t = terminal_presheaf(site)
-        with pytest.raises(NotSemicartesian):
-            day_projection1(t, t)
+        with pytest.raises(NotSemicartesian, match=r"u <= v\*w <= v$"):
+            day_projections(t, t, day_convolve(t, t))
 
 
 class TestSieves:

@@ -49,7 +49,7 @@ def family(site, doms, target):
 
 def glued(f, cover, sections):
     """Every section over the target restricting to the given family."""
-    return sheaf._glue_buckets(f, cover).get(tuple(sections), [])
+    return sheaf._glue_buckets(f._at, f._res, cover).get(tuple(sections), [])
 
 
 def verdict_of(f, coverage):
@@ -202,14 +202,14 @@ class TestVerdicts:
         sep = luk3_sep(site)
         for method in ("equalizer", "orthogonal"):
             (report,) = check_sheaf(sep, cov, (method,))
-            assert report.verdict == VERDICT_SEPARATED, report.summary()
+            assert report.verdict == VERDICT_SEPARATED, report.witness
 
     def test_not_separated(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
         bad = luk3_doubled_bottom(site)
         for method in ("equalizer", "orthogonal"):
             (report,) = check_sheaf(bad, cov, (method,))
-            assert report.verdict == VERDICT_PRESHEAF, report.summary()
+            assert report.verdict == VERDICT_PRESHEAF, report.witness
         # the failure is the empty cover of the bottom
         report = check_sheaf_equalizer(bad, cov)
         assert "-> 0" in report.witness
@@ -317,7 +317,7 @@ class TestVerdicts:
                 eq = check_sheaf_equalizer(f, coverage)
                 orth = check_sheaf_orthogonal(f, coverage)
                 assert eq.verdict == orth.verdict, (
-                    f"{f!r}: {eq.summary()} / {orth.summary()}"
+                    f"{f!r}: {eq.verdict} / {orth.verdict}"
                 )
 
     def test_everything_is_a_sheaf_for_the_trivial_coverage(self):
