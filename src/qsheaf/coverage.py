@@ -28,6 +28,7 @@ Flavors, cumulative:
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .checks import CheckReport, drain
 from .errors import (
@@ -40,16 +41,33 @@ from .moncat import ThinCategory, canon, pseudo_pullback, require_thin
 from .quantale import Quantale
 
 
+class CompiledCover(NamedTuple):
+    """The restriction-table keys that one cover is read at on one site.
+
+    `legs` holds ``(d_i, target)`` for each leg domain ``d_i``,
+    `overlaps[i][j]` the apex ``w_ij`` of legs i and j, and `pairs[i][j]`
+    the keys ``(w_ij, d_i)`` and ``(w_ij, d_j)`` of the restrictions of
+    both legs to it, for every ordered leg pair.
+    """
+
+    site: object
+    legs: tuple
+    overlaps: tuple
+    pairs: tuple
+
+
 class CoverFamily:
     """An indexed family of morphisms into a common target.
 
     The legs are checked against the target on construction, and their
     domains, all that membership reads, are kept as a tuple. The sort
     key, the target's name with the sorted domain names (which fix a
-    family on a thin site), is built on first use by `key`, `==` or `hash`.
+    family on a thin site), is built on first use by `key`, `==` or `hash`;
+    the restriction keys the sheaf checks and sieves read, on first use
+    by `compiled`.
     """
 
-    __slots__ = ("target", "legs", "_domains", "_key")
+    __slots__ = ("target", "legs", "_domains", "_key", "_compiled")
 
     def __init__(self, target, legs):
         legs = tuple(legs)
@@ -62,6 +80,7 @@ class CoverFamily:
         object.__setattr__(self, "legs", legs)
         object.__setattr__(self, "_domains", tuple(leg.dom for leg in legs))
         object.__setattr__(self, "_key", None)
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoverFamily is immutable")
@@ -74,6 +93,26 @@ class CoverFamily:
                 (canon(self.target), tuple(sorted(map(canon, self._domains)))),
             )
         return self._key
+
+    def compiled(self, site) -> CompiledCover:
+        """This cover's restriction keys on `site`, every leg-pair overlap included."""
+        found = self._compiled
+        if found is None or found.site is not site:
+            doms = self._domains
+            overlaps = tuple(
+                tuple(site.overlap(a, b) for b in self.legs) for a in self.legs
+            )
+            found = CompiledCover(
+                site,
+                tuple((d, self.target) for d in doms),
+                overlaps,
+                tuple(
+                    tuple(((w, di), (w, dj)) for w, dj in zip(row, doms))
+                    for row, di in zip(overlaps, doms)
+                ),
+            )
+            object.__setattr__(self, "_compiled", found)
+        return found
 
     def domains(self) -> tuple:
         return self._domains

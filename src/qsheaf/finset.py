@@ -64,7 +64,12 @@ EMPTY = FinSetObj(())
 
 
 class FinMap:
-    """A total map between two FinSetObj, given by an assignment dict."""
+    """A total map between two FinSetObj, given by an assignment dict.
+
+    Construction checks that the assignment's keys are the domain and its
+    values lie in the codomain; past 8 codomain labels the values are
+    checked against a set of them, built for that one check, not kept.
+    """
 
     __slots__ = ("dom", "cod", "assignment", "_key")
 
@@ -74,9 +79,18 @@ class FinMap:
                 f"assignment keys {sorted(assignment, key=label_key)} "
                 f"do not match domain {dom!r}"
             )
-        for x, y in assignment.items():
-            if y not in cod:
-                raise CodomainMismatch(f"value {y!r} at {x!r} not in codomain {cod!r}")
+        labels = cod.elements
+        try:
+            # past a few labels, one set beats a scan of the codomain per value
+            within = len(labels) > 8 and set(labels).issuperset(assignment.values())
+        except TypeError:  # an unhashable value is no label
+            within = False
+        if not within:
+            for x, y in assignment.items():
+                if y not in labels:
+                    raise CodomainMismatch(
+                        f"value {y!r} at {x!r} not in codomain {cod!r}"
+                    )
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "assignment", dict(assignment))

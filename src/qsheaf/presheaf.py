@@ -426,14 +426,19 @@ def _day_tag(cv, cw, x, y):
 
 def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
     """Pointwise coend: factorizations u <= v*w, quotiented by restriction."""
+    return _day_coend(f, g)[0]
+
+
+def _day_coend(f: Presheaf, g: Presheaf):
+    """``day_convolve(f, g)`` with each object's parts, as `_day_parts` tags them."""
     if f.site != g.site:
         raise SiteMismatch("convolution needs presheaves on one site")
     site = f.site
     objs = site.objects()
-    classes = {}
+    classes, parts = {}, {}
     uf_by_obj = {}
     for u in objs:
-        tags = _day_parts(f, g, u)
+        tags = parts[u] = _day_parts(f, g, u)
         uf = UnionFind(tags)
         for lab, (v, w, x, y) in tags.items():
             for v2 in objs:
@@ -453,7 +458,7 @@ def day_convolve(f: Presheaf, g: Presheaf) -> Presheaf:
         (v, u): {rep: uf_by_obj[v].find(rep) for rep in classes[u]}
         for v, u in site.pairs()
     }
-    return Presheaf(site, classes, res)
+    return Presheaf(site, classes, res), parts
 
 
 def _day_parts(f: Presheaf, g: Presheaf, u):
@@ -470,21 +475,24 @@ def _day_parts(f: Presheaf, g: Presheaf, u):
     return out
 
 
-def day_projections(f: Presheaf, g: Presheaf, conv: Presheaf):
-    """The maps (f*g)(u) -> f(u) and -> g(u) of ``conv = day_convolve(f, g)``,
-    restricting each factor down to u along ``u <= v*w <= v, w``."""
+def day_projections(f: Presheaf, g: Presheaf):
+    """The convolution ``conv`` of f and g with its maps (f*g)(u) -> f(u) and
+    -> g(u), restricting each factor down to u along ``u <= v*w <= v, w``.
+
+    Returns ``(conv, to_f, to_g)``. Each object's parts are built once, for
+    the convolution and both maps."""
     site = f.site
     if not is_semicartesian(site):
         raise NotSemicartesian("convolution projections need u <= v*w <= v")
+    conv, parts = _day_coend(f, g)
     left, right = {}, {}
     for u in site.objects():
-        parts = _day_parts(f, g, u)
         left[u], right[u] = {}, {}
         for rep in conv.value(u):
-            v, w, x, y = parts[rep]
+            v, w, x, y = parts[u][rep]
             left[u][rep] = f.restrict(u, v)(x)
             right[u][rep] = g.restrict(u, w)(y)
-    return PresheafMorphism(conv, f, left), PresheafMorphism(conv, g, right)
+    return conv, PresheafMorphism(conv, f, left), PresheafMorphism(conv, g, right)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +519,7 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
     """
     require_thin(site)
     legs = cover.legs
-    overlaps = [[site.overlap(a, b) for b in legs] for a in legs]
+    overlaps = cover.compiled(site).overlaps
     tags = [finset.tag_label(i, "*") for i in range(len(legs))]
     at, uf_by_obj = {}, {}
     for w in site.objects():

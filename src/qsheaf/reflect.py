@@ -9,8 +9,10 @@ the fixpoint. The construction is certified, never trusted: the result
 must pass both sheaf checks and the unit must induce hom-set bijections
 against an exhaustively enumerated battery of small sheaves. The battery
 prunes its tables with the equalizer check's own gluing count
-(`sheaf._families` and `sheaf._glue_buckets`), and audits every member
-with `check_sheaf_equalizer` at the end.
+(`sheaf._families` and `sheaf._glue_buckets`). At the end it audits
+every member by the literal equalizer diagram of each of its covers
+(`sheaf._diagram_verdicts`), not by a replay of the count that admitted
+it; only a cover too large to diagram is audited by the count.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ from .presheaf import (
 )
 from .quantale import _closure, _least_upper_bound, parse_raw
 from .sheaf import (
+    VERDICT_SHEAF,
+    _cover_outcome,
+    _diagram_verdicts,
     _families,
     _glue_buckets,
     check_sheaf,
@@ -65,7 +70,7 @@ def _forcing_ops(f: Presheaf, coverage: Coverage):
     """Missing gluings and ambiguous gluings, scanned over all covers."""
     exist, unify = [], []
     for cover in coverage.all_families():
-        buckets = _glue_buckets(f._at, f._res, cover)
+        buckets = _glue_buckets(f.site, f._at, f._res, cover)
         for sig in sorted(buckets):
             zs = buckets[sig]
             for z in zs[1:]:
@@ -189,7 +194,7 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     def sheaf_ok_at(u):
         """No cover of u has two sections in one bucket or an unglued family."""
         for cover in coverage.families(u):
-            buckets = _glue_buckets(at, res, cover)
+            buckets = _glue_buckets(site, at, res, cover)
             if any(len(zs) > 1 for zs in buckets.values()):
                 return False
             if any(fam not in buckets for fam in _families(site, at, res, cover)):
@@ -241,9 +246,13 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
         Presheaf(site, dict(at), dict(res))
         for _ in backtrack(len(order), tables)
     ]
+    covers = list(coverage.all_families())
     for p in results:
-        if not check_sheaf_equalizer(p, coverage).ok:
-            raise InternalDefect("internal defect: battery admitted a non-sheaf")
+        for cover, verdict in zip(covers, _diagram_verdicts(p, covers)):
+            if verdict is None:
+                verdict = _cover_outcome(p, cover).verdict
+            if verdict != VERDICT_SHEAF:
+                raise InternalDefect("internal defect: battery admitted a non-sheaf")
     return results
 
 
@@ -475,8 +484,7 @@ def star(
     if not left.is_mono() or not right.is_mono():
         raise UnverifiedInput("star needs mono inclusions")
     f = left.dst
-    conv = day_convolve(left.src, right.src)
-    p1, p2 = day_projections(left.src, right.src, conv)
+    conv, p1, p2 = day_projections(left.src, right.src)
     result = sheafify(conv, coverage)
     if not result.converged:
         raise NotConverged("star reflection hit the iteration bound")

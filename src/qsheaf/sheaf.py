@@ -1,9 +1,13 @@
 """Sheaf conditions over covered thin sites, checked two independent ways.
 
 The first checker enumerates compatible families and counts gluings,
-cross-checking itself against the literal equalizer diagram (built with
-the finite-set kernel) whenever the diagram is small. Sheafification's
-forcing scan and the battery in `reflect` count with its own helpers.
+cross-checking each count against the cover's literal equalizer diagram
+(built with the finite-set kernel) whenever the diagram is small. The
+small diagrams of one presheaf are built together, as the summands of a
+few shared diagrams, and every reader of a cover reads the restriction
+keys of its compiled form (`CoverFamily.compiled`). Sheafification's
+forcing scan and the battery in `reflect` count with the same helpers,
+and the battery's audit reads each member's diagrams.
 The second checker tests orthogonality against canonical sieve
 inclusions by enumerating natural transformations on both sides.
 `check_sheaf` is the one place that runs them together: the two must
@@ -41,35 +45,32 @@ _GRADE = {VERDICT_SHEAF: 2, VERDICT_SEPARATED: 1, VERDICT_PRESHEAF: 0}
 
 # covers with more leg-section tuples than this skip the diagram cross-check
 CROSSCHECK_THRESHOLD = 4096
+# the most leg tuples one shared diagram takes; it bounds the overlap keys held
+_SHARED_TUPLES = 256
 
 
 def _families(site, at, res, cover):
     """Compatible section tuples for a cover, lazily, by backtracking.
 
     `at` and `res` have a `Presheaf`'s table shape (``u -> FinSetObj``,
-    ``(v, u) -> FinMap``, identities included), as the battery's do.
+    ``(v, u) -> FinMap``, identities included), as the battery's do. A
+    section of leg k must agree with the chosen section of each earlier
+    leg i on their overlap.
     """
-    legs = cover.legs
-    maps = {}  # restriction tables per leg pair
-
-    def agree(i, k, xi, xk):
-        if (i, k) not in maps:
-            t = site.overlap(legs[i], legs[k])
-            maps[i, k] = (
-                res[t, legs[i].dom].assignment,
-                res[t, legs[k].dom].assignment,
-            )
-        left, right = maps[i, k]
-        return left[xi] == right[xk]
+    doms = cover.domains()
+    pairs = cover.compiled(site).pairs
+    tables = {}  # k -> restriction tables of legs i and k, for each i < k
 
     def sections(k, chosen):
-        return [
-            x
-            for x in at[legs[k].dom]
-            if all(agree(i, k, xi, x) for i, xi in enumerate(chosen))
-        ]
+        if k not in tables:
+            tables[k] = [
+                (res[left].assignment, res[right].assignment)
+                for left, right in (pairs[i][k] for i in range(k))
+            ]
+        wants = [(right, left[xi]) for (left, right), xi in zip(tables[k], chosen)]
+        return [x for x in at[doms[k]] if all(m[x] == y for m, y in wants)]
 
-    return backtrack(len(legs), sections)
+    return backtrack(len(doms), sections)
 
 
 def compatible_families(f: Presheaf, cover: CoverFamily) -> list:
@@ -77,12 +78,11 @@ def compatible_families(f: Presheaf, cover: CoverFamily) -> list:
     return list(_families(f.site, f._at, f._res, cover))
 
 
-def _glue_buckets(at, res, cover: CoverFamily) -> dict:
+def _glue_buckets(site, at, res, cover: CoverFamily) -> dict:
     """Restriction signature -> sections over the target, read as `_families` reads."""
-    target = cover.target
-    maps = [res[leg.dom, target].assignment for leg in cover.legs]
+    maps = [res[key].assignment for key in cover.compiled(site).legs]
     buckets = {}
-    for z in at[target]:
+    for z in at[cover.target]:
         buckets.setdefault(tuple([m[z] for m in maps]), []).append(z)
     return buckets
 
@@ -101,6 +101,20 @@ class CoverOutcome:
         if self.unglued:
             return VERDICT_SEPARATED
         return VERDICT_SHEAF
+
+
+def _cover_outcome(f: Presheaf, cover: CoverFamily) -> CoverOutcome:
+    """The family count: compatible families with no gluing, or several."""
+    buckets = _glue_buckets(f.site, f._at, f._res, cover)
+    families = compatible_families(f, cover)
+    unglued = ambiguous = 0
+    for fam in families:
+        n = len(buckets.get(fam, ()))
+        if n == 0:
+            unglued += 1
+        elif n > 1:
+            ambiguous += 1
+    return CoverOutcome(cover, len(families), unglued, ambiguous)
 
 
 @dataclass
@@ -123,80 +137,103 @@ class SheafReport:
             self.witness = f"cover {outcome.cover!r}"
 
 
-def _diagram_crosscheck(f: Presheaf, cover: CoverFamily, outcome):
-    """Build the literal equalizer diagram and compare verdicts."""
-    site = f.site
-    legs = cover.legs
-    leg_sizes = [len(f.value(leg.dom)) for leg in legs]
-    prod = 1
-    for s in leg_sizes:
-        prod *= s
-    if prod > CROSSCHECK_THRESHOLD or len(legs) > 8:
-        return False
-    pairs = list(itertools.product(range(len(legs)), repeat=2))
-    lefts, rights = [], []  # restrictions of legs i and j to their overlap
-    for i, j in pairs:
-        w = site.overlap(legs[i], legs[j])
-        lefts.append((i, f.restrict(w, legs[i].dom).assignment))
-        rights.append((j, f.restrict(w, legs[j].dom).assignment))
-    # A tuple of leg sections is labelled by its position in `tuples`, and
-    # a tuple of overlap sections by its position of first appearance, so
-    # the diagram's labels are integers whatever the presheaf's labels.
-    tuples = list(itertools.product(*(f.value(leg.dom) for leg in legs)))
+def _diagram_verdicts(f: Presheaf, covers: list) -> list:
+    """Each cover's verdict read off its literal equalizer diagram, or None.
+
+    A cover gets a diagram when it has at most 8 legs and at most
+    `CROSSCHECK_THRESHOLD` leg tuples. The diagrams are built as the
+    summands of a few shared ones: covers join a shared diagram in order
+    until the next would take it past `_SHARED_TUPLES` leg tuples, so a
+    larger cover gets one of its own.
+    """
+    at = f._at
+    verdicts = [None] * len(covers)
+    batch, size = [], 0
+    for idx, cover in enumerate(covers):
+        count = 1
+        for d in cover.domains():
+            count *= len(at[d])
+        if count > CROSSCHECK_THRESHOLD or len(cover.legs) > 8:
+            continue
+        if batch and size + count > _SHARED_TUPLES:
+            _shared_diagram(f, covers, batch, verdicts)
+            batch, size = [], 0
+        batch.append(idx)
+        size += count
+    if batch:
+        _shared_diagram(f, covers, batch, verdicts)
+    return verdicts
+
+
+def _shared_diagram(f: Presheaf, covers: list, batch: list, verdicts: list):
+    """Equalize the sum of the diagrams ``F(U) -> prod F(U_i) => prod F(U_ij)``
+    of the covers at `batch`, and set each one's verdict in `verdicts`."""
+    site, at, res = f.site, f._at, f._res
+    # A leg tuple is labelled by its position in `tuples`, and an overlap
+    # tuple, keyed by its cover's index, by its position of first
+    # appearance, so the labels are integers whatever the presheaf's and
+    # no two summands share one.
+    tuples, owners = [], []
+    overlap_ids, first_table, second_table = {}, {}, {}
+    for idx in batch:
+        cover = covers[idx]
+        lefts, rights = [], []  # restrictions of legs i and j to their overlap
+        for i, row in enumerate(cover.compiled(site).pairs):
+            for j, (left, right) in enumerate(row):
+                lefts.append((i, res[left].assignment))
+                rights.append((j, res[right].assignment))
+        for t in itertools.product(*(at[d] for d in cover.domains())):
+            k = len(tuples)
+            tuples.append(t)
+            owners.append(idx)
+            first_table[k] = overlap_ids.setdefault(
+                (idx, tuple([m[t[i]] for i, m in lefts])), len(overlap_ids)
+            )
+            second_table[k] = overlap_ids.setdefault(
+                (idx, tuple([m[t[j]] for j, m in rights])), len(overlap_ids)
+            )
     leg_obj = FinSetObj(range(len(tuples)))
-    overlap_ids = {}
-    first_table, second_table = {}, {}
-    for k, t in enumerate(tuples):
-        first_table[k] = overlap_ids.setdefault(
-            tuple([m[t[i]] for i, m in lefts]), len(overlap_ids)
-        )
-        second_table[k] = overlap_ids.setdefault(
-            tuple([m[t[j]] for j, m in rights]), len(overlap_ids)
-        )
     pair_obj = FinSetObj(range(len(overlap_ids)))
-    first = FinMap(leg_obj, pair_obj, first_table)
-    second = FinMap(leg_obj, pair_obj, second_table)
-    sub, _ = finset.equalizer(first, second)
-    target = cover.target
-    maps = [f.restrict(leg.dom, target).assignment for leg in legs]
-    sections = [tuple([m[z] for m in maps]) for z in f.value(target)]
-    image = set(sections)
-    injective = len(image) == len(sections)
-    onto = image == {tuples[k] for k in sub}
-    diagram_verdict = (
-        VERDICT_SHEAF
-        if injective and onto
-        else VERDICT_SEPARATED
-        if injective
-        else VERDICT_PRESHEAF
+    sub, _ = finset.equalizer(
+        FinMap(leg_obj, pair_obj, first_table),
+        FinMap(leg_obj, pair_obj, second_table),
     )
-    if diagram_verdict != outcome.verdict:
-        raise InternalDefect(
-            "internal defect: family count and equalizer diagram disagree "
-            f"on {cover!r} ({outcome.verdict} vs {diagram_verdict})"
+    equalized = {idx: set() for idx in batch}
+    for k in sub:
+        equalized[owners[k]].add(tuples[k])
+    for idx in batch:
+        cover = covers[idx]
+        maps = [res[key].assignment for key in cover.compiled(site).legs]
+        sections = [tuple([m[z] for m in maps]) for z in at[cover.target]]
+        image = set(sections)
+        injective = len(image) == len(sections)
+        verdicts[idx] = (
+            VERDICT_SHEAF
+            if injective and image == equalized[idx]
+            else VERDICT_SEPARATED
+            if injective
+            else VERDICT_PRESHEAF
         )
-    return True
 
 
 def check_sheaf_equalizer(f: Presheaf, coverage: Coverage) -> SheafReport:
-    """Count gluings of every compatible family of every assigned cover."""
+    """Count gluings of every compatible family of every assigned cover,
+    and cross-check each count against the cover's literal diagram."""
     if f.site != coverage.site:
         raise SiteMismatch("presheaf and coverage live on different sites")
     report = SheafReport("equalizer", VERDICT_SHEAF)
-    for cover in coverage.all_families():
-        buckets = _glue_buckets(f._at, f._res, cover)
-        families = compatible_families(f, cover)
-        unglued = ambiguous = 0
-        for fam in families:
-            n = len(buckets.get(fam, []))
-            if n == 0:
-                unglued += 1
-            elif n > 1:
-                ambiguous += 1
-        outcome = CoverOutcome(cover, len(families), unglued, ambiguous)
-        report.add(outcome)
-        if _diagram_crosscheck(f, cover, outcome):
-            report.cross_checked += 1
+    covers = list(coverage.all_families())
+    for cover in covers:
+        report.add(_cover_outcome(f, cover))
+    for outcome, verdict in zip(report.outcomes, _diagram_verdicts(f, covers)):
+        if verdict is None:
+            continue
+        if verdict != outcome.verdict:
+            raise InternalDefect(
+                "internal defect: family count and equalizer diagram disagree "
+                f"on {outcome.cover!r} ({outcome.verdict} vs {verdict})"
+            )
+        report.cross_checked += 1
     return report
 
 

@@ -8,6 +8,8 @@ the same way, and are shown to be built once per site and never handed
 out mutable. Cover-family keys, built on demand, are checked against the
 formula they were once built by eagerly, and the clamped domain multisets
 that explicit membership compares against the clamp of the sorted keys.
+A cover's compiled restriction keys are checked against the site's
+overlaps, and the coverage checks are shown never to compile one.
 """
 
 import functools
@@ -447,6 +449,33 @@ def test_cover_keys_built_on_demand_are_the_eager_keys():
             assert hash(CoverFamily(fam.target, fam.legs)) == hash(key)
             assert CoverFamily(fam.target, fam.legs[::-1]) == fam
             assert coverage.covers(fam.target, doms)
+
+
+def test_compiled_covers_hold_the_overlap_keys():
+    for site, coverage in _corpus_coverages():
+        for fam in coverage.all_families():
+            compiled = fam.compiled(site)
+            assert fam.compiled(site) is compiled and compiled.site is site
+            doms = fam.domains()
+            assert compiled.legs == tuple((d, fam.target) for d in doms)
+            for (i, a), (j, b) in itertools.product(enumerate(fam.legs), repeat=2):
+                w = site.overlap(a, b)
+                assert compiled.overlaps[i][j] == w
+                assert compiled.pairs[i][j] == ((w, doms[i]), (w, doms[j]))
+    # a cover read on another site object is compiled again for that site
+    q = validate_quantale(corpus("site_luk3.json"))
+    first, second = (ThinCategory.from_quantale(q) for _ in range(2))
+    fam = CoverFamily("1", [first.arrow("h", "1"), first.arrow("1", "1")])
+    assert fam.compiled(first).site is first
+    assert fam.compiled(second).site is second
+
+
+def test_coverage_checks_never_compile_a_cover():
+    for key in sorted(SITES):
+        site, q, _, _ = load(key)
+        fresh = parse_coverage(site, corpus(SITES[key][1]), quantale=q)
+        assert check_flavor(fresh, "strong_prelopology").ok
+        assert all(fam._compiled is None for fam in fresh.all_families())
 
 
 def test_join_rule_checks_never_build_a_cover_key(monkeypatch):

@@ -13,6 +13,7 @@ the code under test twice.
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,19 @@ def test_map_validation_errors():
     f = FinMap(a, b, {"x": "u", "y": "u"})
     with pytest.raises(DomainMismatch):
         f("z")
+
+
+@pytest.mark.parametrize("size", [1, 8, 9, 40])
+def test_map_codomain_check_on_small_and_large_codomains(size):
+    """Past 8 labels the values are checked against a set: the same
+    verdicts and messages, unhashable values included."""
+    a, b = FinSetObj(["x", "y"]), FinSetObj(range(size))
+    ends = {"x": 0, "y": size - 1}
+    assert FinMap(a, b, ends).assignment == ends
+    for stray in (size, "0", ["0"], {"k": 0}):
+        message = re.escape(f"value {stray!r} at 'y'")
+        with pytest.raises(CodomainMismatch, match=message):
+            FinMap(a, b, {"x": 0, "y": stray})
 
 
 def test_compose_and_identity():

@@ -1,20 +1,14 @@
 """Presheaves on thin sites: parsing, morphisms, convolution, sieves."""
 
 import itertools
-import json
 
 import pytest
 
 import finset_oracles as oracles
+from corpus_sites import CORPUS_SITES, corpus, corpus_presheaves, corpus_site
 from coverage_edits import without_family
-from qsheaf import finset
-from qsheaf.cli import corpus_dir
-from qsheaf.coverage import (
-    CoverFamily,
-    canonical_quantale_coverage,
-    parse_coverage,
-    product_coverage,
-)
+from qsheaf import finset, presheaf
+from qsheaf.coverage import CoverFamily
 from qsheaf.errors import (
     InvalidSpec,
     MissingRestriction,
@@ -56,10 +50,6 @@ def powerset2_site():
     return q, ThinCategory.from_quantale(q)
 
 
-def corpus(name):
-    return json.loads((corpus_dir() / name).read_text())
-
-
 def product_site():
     """The chain2 x luk3 corpus site, whose objects are pairs like ("0", "h")."""
     raw = corpus("site_product_chain2_luk3.json")["product"]
@@ -79,37 +69,6 @@ def sep_presheaf(site):
 
 def family(site, doms, target):
     return CoverFamily(target, [site.arrow(d, target) for d in doms])
-
-
-CORPUS_SITES = ["chain3", "ideals4", "luk3", "powerset2", "product_chain2_luk3", "tnat3"]
-
-
-def corpus_site(name):
-    """(site, canonical coverage, trivial coverage) of a corpus site file.
-
-    A product site's canonical coverage pairs its factors' canonical
-    coverages and lives on the product site that pairing builds.
-    """
-    raw = corpus(f"site_{name}.json")
-    trivial = corpus(f"coverage_trivial_{name}.json")
-    if "product" in raw:
-        qs = [validate_quantale(raw["product"][side]) for side in ("left", "right")]
-        canonical = product_coverage(*(
-            canonical_quantale_coverage(q, ThinCategory.from_quantale(q)) for q in qs
-        ))
-        return canonical.site, canonical, parse_coverage(canonical.site, trivial)
-    q = validate_quantale(raw)
-    site = ThinCategory.from_quantale(q)
-    canonical = canonical_quantale_coverage(q, site)
-    return site, canonical, parse_coverage(site, trivial, quantale=q)
-
-
-def corpus_presheaves(name, site):
-    """Every corpus presheaf on the named corpus site, in file-name order."""
-    prefix = "product" if name.startswith("product") else name
-    files = sorted(corpus_dir().glob(f"presheaf_{prefix}_*.json"))
-    assert files
-    return [parse_presheaf(site, json.loads(path.read_text())) for path in files]
 
 
 class TestPresheafStructure:
@@ -453,11 +412,22 @@ class TestDayConvolution:
     def test_projections_are_natural_corestrictions(self):
         q, site = luk3_site()
         f, g = sep_presheaf(site), terminal_presheaf(site)
-        conv = day_convolve(f, g)
-        p1, p2 = day_projections(f, g, conv)
+        conv, p1, p2 = day_projections(f, g)
+        assert conv == day_convolve(f, g)
         assert p1.src == conv and p1.dst == f
         assert p2.src == conv and p2.dst == g
         assert p1.is_natural() and p2.is_natural()
+
+    def test_projections_build_each_objects_parts_once(self, monkeypatch):
+        q, site = luk3_site()
+        f, g = sep_presheaf(site), terminal_presheaf(site)
+        built = []
+        parts_of = presheaf._day_parts
+        monkeypatch.setattr(
+            presheaf, "_day_parts", lambda *args: built.append(args) or parts_of(*args)
+        )
+        day_projections(f, g)
+        assert sorted(u for _, _, u in built) == sorted(site.objects())
 
     def test_projections_need_semicartesian(self):
         raw = {
@@ -474,7 +444,7 @@ class TestDayConvolution:
         site = ThinCategory.from_quantale(q)
         t = terminal_presheaf(site)
         with pytest.raises(NotSemicartesian, match=r"u <= v\*w <= v$"):
-            day_projections(t, t, day_convolve(t, t))
+            day_projections(t, t)
 
 
 class TestSieves:

@@ -2,10 +2,13 @@
 
 import pytest
 
+from corpus_sites import CORPUS_SITES, corpus_site
 from subobject_order import subsheaf_join, subsheaf_leq
+from qsheaf import reflect, sheaf
 from qsheaf.checks import CheckEntry
 from qsheaf.coverage import canonical_quantale_coverage, product_coverage
 from qsheaf.errors import (
+    InternalDefect,
     InvalidSpec,
     MulNotAssociative,
     NotConverged,
@@ -186,6 +189,56 @@ class TestBattery:
                 assert nt == nx * ny
             else:
                 assert nt == 0
+
+    @pytest.mark.parametrize("threshold", [None, 0], ids=["diagrams", "family-count"])
+    def test_a_battery_that_admits_everything_fails_its_audit(
+        self, monkeypatch, threshold
+    ):
+        """With pruning that finds no compatible family and every section
+        alone in its bucket, non-sheaves enter the battery; the audit, by
+        the diagrams or by the family count when no cover is small enough
+        to diagram, must refuse them."""
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+        if threshold is not None:
+            monkeypatch.setattr(sheaf, "CROSSCHECK_THRESHOLD", threshold)
+        monkeypatch.setattr(reflect, "_families", lambda *args: iter(()))
+        monkeypatch.setattr(
+            reflect,
+            "_glue_buckets",
+            lambda *args: {(z,): [z] for z in args[-3][args[-1].target]},
+        )
+        with pytest.raises(InternalDefect, match="battery admitted a non-sheaf"):
+            enumerate_sheaves(site, cov, max_size=2)
+
+    # literal diagrams built by the size-2 audit, per corpus site and
+    # coverage: the totals of `check_sheaf_equalizer(member).cross_checked`
+    # over every member, as the audit counted them when it ran that check
+    AUDIT_DIAGRAMS = {
+        "chain3": (297, 141),
+        "ideals4": (108, 141),
+        "luk3": (108, 141),
+        "powerset2": (810, 996),
+        "product_chain2_luk3": (3150, 38562),
+        "tnat3": (405, 844),
+    }
+
+    @pytest.mark.parametrize("name", CORPUS_SITES)
+    def test_the_audit_builds_every_literal_diagram(self, monkeypatch, name):
+        built = []
+        verdicts_of = reflect._diagram_verdicts
+
+        def counting(p, covers):
+            verdicts = verdicts_of(p, covers)
+            built.append(sum(v is not None for v in verdicts))
+            return verdicts
+
+        monkeypatch.setattr(reflect, "_diagram_verdicts", counting)
+        site, *coverages = corpus_site(name)
+        for coverage, diagrams in zip(coverages, self.AUDIT_DIAGRAMS[name]):
+            built.clear()
+            battery = enumerate_sheaves(site, coverage, max_size=2)
+            assert len(built) == len(battery)
+            assert sum(built) == diagrams
 
     def test_battery_members_pass_both_checkers(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)

@@ -1,9 +1,13 @@
-"""Gluing, the two sheaf checkers, shifts, products, and the plus step."""
+"""Gluing, the two sheaf checkers, the shared literal diagrams against the
+one-cover oracle, shifts, products, and the plus step."""
 
+import functools
 import random
 
 import pytest
 
+from corpus_sites import CORPUS_SITES, corpus, corpus_presheaves, corpus_site
+from equalizer_oracle import one_cover_verdict
 from qsheaf import sheaf
 from qsheaf.coverage import (
     CoverFamily,
@@ -22,6 +26,7 @@ from qsheaf.presheaf import (
     yoneda,
 )
 from qsheaf.quantale import build_standard
+from qsheaf.reflect import enumerate_sheaves, sheafify
 from qsheaf.sheaf import (
     VERDICT_PRESHEAF,
     VERDICT_SEPARATED,
@@ -49,7 +54,7 @@ def family(site, doms, target):
 
 def glued(f, cover, sections):
     """Every section over the target restricting to the given family."""
-    return sheaf._glue_buckets(f._at, f._res, cover).get(tuple(sections), [])
+    return sheaf._glue_buckets(f.site, f._at, f._res, cover).get(tuple(sections), [])
 
 
 def verdict_of(f, coverage):
@@ -325,6 +330,98 @@ class TestVerdicts:
         triv = trivial_coverage(site, q)
         for f in (luk3_sep(site), luk3_doubled_bottom(site)):
             assert verdict_of(f, triv) == VERDICT_SHEAF
+
+
+@functools.cache
+def corpus_cases(name):
+    """(coverage, presheaves) for both coverages of a corpus site: the
+    corpus presheaves, their reflections and the coverage's size-2 battery."""
+    site, *coverages = corpus_site(name)
+    presheaves = corpus_presheaves(name, site)
+    return [
+        (
+            coverage,
+            presheaves
+            + [sheafify(f, coverage).sheaf for f in presheaves]
+            + enumerate_sheaves(site, coverage, max_size=2),
+        )
+        for coverage in coverages
+    ]
+
+
+def oracle_verdicts(f, covers):
+    return [one_cover_verdict(f, cover) for cover in covers]
+
+
+def recording_batches(monkeypatch):
+    """The cover indices of every shared diagram built from now on."""
+    batches = []
+    build = sheaf._shared_diagram
+
+    def recording(f, covers, batch, verdicts):
+        batches.append(list(batch))
+        return build(f, covers, batch, verdicts)
+
+    monkeypatch.setattr(sheaf, "_shared_diagram", recording)
+    return batches
+
+
+def constant_three(site):
+    """Three sections everywhere, every restriction the identity."""
+    labels = ["a", "b", "c"]
+    return Presheaf(
+        site,
+        {u: labels for u in site.objects()},
+        {vu: {x: x for x in labels} for vu in site.pairs()},
+    )
+
+
+class TestSharedDiagrams:
+    @pytest.mark.parametrize("name", CORPUS_SITES)
+    def test_shared_diagrams_give_the_one_cover_verdicts(self, name):
+        for coverage, presheaves in corpus_cases(name):
+            covers = list(coverage.all_families())
+            for f in presheaves:
+                assert sheaf._diagram_verdicts(f, covers) == oracle_verdicts(
+                    f, covers
+                ), f
+
+    def test_edge_covers(self, monkeypatch):
+        q, site, cov = site_of("powerset_locale", 2)
+        f = constant_three(site)
+        empty = CoverFamily("{}", [])
+        small = family(site, ["{x}", "{y}"], "{xy}")
+        past_bound = family(site, ["{x}", "{y}", "{x}", "{y}", "{xy}", "{x}"], "{xy}")
+        past_threshold = family(site, ["{x}"] * 4 + ["{y}"] * 4, "{xy}")
+        covers = [empty, small, past_bound, small, past_threshold]
+        batches = recording_batches(monkeypatch)
+        verdicts = sheaf._diagram_verdicts(f, covers)
+        assert verdicts == oracle_verdicts(f, covers)
+        assert verdicts[-1] is None and None not in verdicts[:-1]
+        # 3**6 leg tuples pass 256: that cover is built alone, and the
+        # batch after it ends on a cover too large to diagram
+        assert batches == [[0, 1], [2], [3]]
+        # an empty value set gives a cover no leg tuple
+        hollow = parse_presheaf(site, {
+            "at": {"{xy}": [], "{x}": [], "{y}": ["b"], "{}": ["s"]},
+            "res": {
+                "{x}<={xy}": {}, "{y}<={xy}": {}, "{}<={xy}": {},
+                "{}<={x}": {}, "{}<={y}": {"b": "s"},
+            },
+        })
+        for g in (hollow, powerset2_sep(site), powerset2_constant_two(site)):
+            covers = [empty, small, past_threshold, *cov.all_families()]
+            assert sheaf._diagram_verdicts(g, covers) == oracle_verdicts(g, covers)
+
+    def test_a_wrong_family_count_disagrees_with_the_diagram(self, monkeypatch):
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+        sep = parse_presheaf(site, corpus("presheaf_luk3_separated.json"))
+        assert check_sheaf_equalizer(sep, cov).verdict == VERDICT_SEPARATED
+        monkeypatch.setattr(sheaf, "_families", lambda *args: iter(()))
+        with pytest.raises(
+            InternalDefect, match="family count and equalizer diagram disagree"
+        ):
+            check_sheaf_equalizer(sep, cov)
 
 
 class TestShift:
