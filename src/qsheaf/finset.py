@@ -67,8 +67,8 @@ class FinMap:
     """A total map between two FinSetObj, given by an assignment dict.
 
     Construction checks that the assignment's keys are the domain and its
-    values lie in the codomain; past 8 codomain labels the values are
-    checked against a set of them, built for that one check, not kept.
+    values lie in the codomain, against a set of the codomain's labels
+    built for that one check, not kept.
     """
 
     __slots__ = ("dom", "cod", "assignment", "_key")
@@ -79,15 +79,13 @@ class FinMap:
                 f"assignment keys {sorted(assignment, key=label_key)} "
                 f"do not match domain {dom!r}"
             )
-        labels = cod.elements
         try:
-            # past a few labels, one set beats a scan of the codomain per value
-            within = len(labels) > 8 and set(labels).issuperset(assignment.values())
+            within = set(cod.elements).issuperset(assignment.values())
         except TypeError:  # an unhashable value is no label
             within = False
-        if not within:
+        if not within:  # name the first value outside the codomain
             for x, y in assignment.items():
-                if y not in labels:
+                if y not in cod.elements:
                     raise CodomainMismatch(
                         f"value {y!r} at {x!r} not in codomain {cod!r}"
                     )

@@ -11,7 +11,7 @@ against an exhaustively enumerated battery of small sheaves. The battery
 prunes its tables with the equalizer check's own gluing count
 (`sheaf._families` and `sheaf._glue_buckets`). At the end it audits
 every member by the literal equalizer diagram of each of its covers
-(`sheaf._diagram_verdicts`), not by a replay of the count that admitted
+(`sheaf._audit_verdicts`), not by a replay of the count that admitted
 it; only a cover too large to diagram is audited by the count.
 """
 
@@ -47,8 +47,7 @@ from .presheaf import (
 from .quantale import _closure, _least_upper_bound, parse_raw
 from .sheaf import (
     VERDICT_SHEAF,
-    _cover_outcome,
-    _diagram_verdicts,
+    _audit_verdicts,
     _families,
     _glue_buckets,
     check_sheaf,
@@ -248,11 +247,8 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     ]
     covers = list(coverage.all_families())
     for p in results:
-        for cover, verdict in zip(covers, _diagram_verdicts(p, covers)):
-            if verdict is None:
-                verdict = _cover_outcome(p, cover).verdict
-            if verdict != VERDICT_SHEAF:
-                raise InternalDefect("internal defect: battery admitted a non-sheaf")
+        if any(v != VERDICT_SHEAF for v in _audit_verdicts(p, covers)):
+            raise InternalDefect("internal defect: battery admitted a non-sheaf")
     return results
 
 

@@ -7,7 +7,7 @@ small diagrams of one presheaf are built together, as the summands of a
 few shared diagrams, and every reader of a cover reads the restriction
 keys of its compiled form (`CoverFamily.compiled`). Sheafification's
 forcing scan and the battery in `reflect` count with the same helpers,
-and the battery's audit reads each member's diagrams.
+and the battery's audit reads each member's diagrams (`_audit_verdicts`).
 The second checker tests orthogonality against canonical sieve
 inclusions by enumerating natural transformations on both sides.
 `check_sheaf` is the one place that runs them together: the two must
@@ -137,10 +137,12 @@ class SheafReport:
             self.witness = f"cover {outcome.cover!r}"
 
 
-def _diagram_verdicts(f: Presheaf, covers: list) -> list:
+def diagram_verdicts(f: Presheaf, covers: list) -> list:
     """Each cover's verdict read off its literal equalizer diagram, or None.
 
-    A cover gets a diagram when it has at most 8 legs and at most
+    Every literal diagram of the library is built here, for
+    `check_sheaf_equalizer` and for the battery's audit alike. A cover
+    gets a diagram when it has at most 8 legs and at most
     `CROSSCHECK_THRESHOLD` leg tuples. The diagrams are built as the
     summands of a few shared ones: covers join a shared diagram in order
     until the next would take it past `_SHARED_TUPLES` leg tuples, so a
@@ -163,6 +165,15 @@ def _diagram_verdicts(f: Presheaf, covers: list) -> list:
     if batch:
         _shared_diagram(f, covers, batch, verdicts)
     return verdicts
+
+
+def _audit_verdicts(f: Presheaf, covers: list) -> list:
+    """Each cover's verdict by its literal diagram, or by the family count
+    where the cover is too large to diagram."""
+    return [
+        _cover_outcome(f, cover).verdict if verdict is None else verdict
+        for cover, verdict in zip(covers, diagram_verdicts(f, covers))
+    ]
 
 
 def _shared_diagram(f: Presheaf, covers: list, batch: list, verdicts: list):
@@ -225,7 +236,7 @@ def check_sheaf_equalizer(f: Presheaf, coverage: Coverage) -> SheafReport:
     covers = list(coverage.all_families())
     for cover in covers:
         report.add(_cover_outcome(f, cover))
-    for outcome, verdict in zip(report.outcomes, _diagram_verdicts(f, covers)):
+    for outcome, verdict in zip(report.outcomes, diagram_verdicts(f, covers)):
         if verdict is None:
             continue
         if verdict != outcome.verdict:

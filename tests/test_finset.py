@@ -79,8 +79,9 @@ def test_map_validation_errors():
 
 @pytest.mark.parametrize("size", [1, 8, 9, 40])
 def test_map_codomain_check_on_small_and_large_codomains(size):
-    """Past 8 labels the values are checked against a set: the same
-    verdicts and messages, unhashable values included."""
+    """Values are checked against a set of the codomain, and a stray is
+    named by a scan: the same verdicts and messages at every codomain
+    size, unhashable values included."""
     a, b = FinSetObj(["x", "y"]), FinSetObj(range(size))
     ends = {"x": 0, "y": size - 1}
     assert FinMap(a, b, ends).assignment == ends

@@ -212,7 +212,7 @@ class TestBattery:
 
     # literal diagrams built by the size-2 audit, per corpus site and
     # coverage: the totals of `check_sheaf_equalizer(member).cross_checked`
-    # over every member, as the audit counted them when it ran that check
+    # over every member, which the audit once ran on each member
     AUDIT_DIAGRAMS = {
         "chain3": (297, 141),
         "ideals4": (108, 141),
@@ -224,21 +224,23 @@ class TestBattery:
 
     @pytest.mark.parametrize("name", CORPUS_SITES)
     def test_the_audit_builds_every_literal_diagram(self, monkeypatch, name):
-        built = []
-        verdicts_of = reflect._diagram_verdicts
+        built = []  # (audited presheaf, diagrams built) per audit
+        verdicts_of = sheaf.diagram_verdicts
 
         def counting(p, covers):
             verdicts = verdicts_of(p, covers)
-            built.append(sum(v is not None for v in verdicts))
+            built.append((p, sum(v is not None for v in verdicts)))
             return verdicts
 
-        monkeypatch.setattr(reflect, "_diagram_verdicts", counting)
+        monkeypatch.setattr(sheaf, "diagram_verdicts", counting)
         site, *coverages = corpus_site(name)
         for coverage, diagrams in zip(coverages, self.AUDIT_DIAGRAMS[name]):
             built.clear()
             battery = enumerate_sheaves(site, coverage, max_size=2)
+            # every member is audited once, on its final tables
             assert len(built) == len(battery)
-            assert sum(built) == diagrams
+            assert all(p is q for (p, _), q in zip(built, battery))
+            assert sum(n for _, n in built) == diagrams
 
     def test_battery_members_pass_both_checkers(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)

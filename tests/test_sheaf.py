@@ -382,7 +382,7 @@ class TestSharedDiagrams:
         for coverage, presheaves in corpus_cases(name):
             covers = list(coverage.all_families())
             for f in presheaves:
-                assert sheaf._diagram_verdicts(f, covers) == oracle_verdicts(
+                assert sheaf.diagram_verdicts(f, covers) == oracle_verdicts(
                     f, covers
                 ), f
 
@@ -395,7 +395,7 @@ class TestSharedDiagrams:
         past_threshold = family(site, ["{x}"] * 4 + ["{y}"] * 4, "{xy}")
         covers = [empty, small, past_bound, small, past_threshold]
         batches = recording_batches(monkeypatch)
-        verdicts = sheaf._diagram_verdicts(f, covers)
+        verdicts = sheaf.diagram_verdicts(f, covers)
         assert verdicts == oracle_verdicts(f, covers)
         assert verdicts[-1] is None and None not in verdicts[:-1]
         # 3**6 leg tuples pass 256: that cover is built alone, and the
@@ -411,7 +411,7 @@ class TestSharedDiagrams:
         })
         for g in (hollow, powerset2_sep(site), powerset2_constant_two(site)):
             covers = [empty, small, past_threshold, *cov.all_families()]
-            assert sheaf._diagram_verdicts(g, covers) == oracle_verdicts(g, covers)
+            assert sheaf.diagram_verdicts(g, covers) == oracle_verdicts(g, covers)
 
     def test_a_wrong_family_count_disagrees_with_the_diagram(self, monkeypatch):
         q, site, cov = site_of("lukasiewicz_chain", 3)
