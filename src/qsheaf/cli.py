@@ -361,7 +361,7 @@ def _cmd_sub(args, report: RunReport, rng) -> int:
     battery = enumerate_sheaves(site, cov, max_size=2)
     cells = [(i, j) for i in range(len(lattice.members)) for j in range(len(lattice.members))]
     rng.shuffle(cells)
-    table = {}
+    table, hom_table = {}, {}
     certified = True
     for i, j in cells:
         fact = star(
@@ -370,6 +370,7 @@ def _cmd_sub(args, report: RunReport, rng) -> int:
             cov,
             lattice=lattice,
             battery=battery,
+            hom_table=hom_table,
         )
         table[f"S{i}*S{j}"] = f"S{fact.index}"
         certified = certified and fact.epi_certified

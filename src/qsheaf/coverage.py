@@ -64,10 +64,10 @@ class CoverFamily:
     key, the target's name with the sorted domain names (which fix a
     family on a thin site), is built on first use by `key`, `==` or `hash`;
     the restriction keys the sheaf checks and sieves read, on first use
-    by `compiled`.
+    by `compiled`; the sieve key, on first use by `presheaf.sieve_key`.
     """
 
-    __slots__ = ("target", "legs", "_domains", "_key", "_compiled")
+    __slots__ = ("target", "legs", "_domains", "_key", "_compiled", "_sieve_key")
 
     def __init__(self, target, legs):
         legs = tuple(legs)
@@ -81,6 +81,7 @@ class CoverFamily:
         object.__setattr__(self, "_domains", tuple(leg.dom for leg in legs))
         object.__setattr__(self, "_key", None)
         object.__setattr__(self, "_compiled", None)
+        object.__setattr__(self, "_sieve_key", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CoverFamily is immutable")

@@ -10,7 +10,9 @@ product site) appears only where text enters or leaves: in
 `parse_presheaf`, `Presheaf.to_raw`, reprs and messages. Natural
 transformations are enumerated by fiber filtering along the Hasse
 diagram, which is complete because naturality on covering edges composes
-to naturality on all comparable pairs.
+to naturality on all comparable pairs. A cover's sieve is built as a
+presheaf by `sieve_of`, or read as plain tables by `sieve_key`, which
+tells covers with isomorphic sieves alike.
 """
 
 from __future__ import annotations
@@ -504,6 +506,55 @@ class Sieve:
     cover: CoverFamily
     presheaf: Presheaf
     canonical: PresheafMorphism
+
+
+def sieve_key(site: ThinCategory, cover: CoverFamily) -> tuple:
+    """The cover's sieve as plain tables, equal for covers whose sieves
+    are isomorphic over y(target), built without a `Presheaf`.
+
+    At each object w the sieve's classes are those of `sieve_of`: the
+    legs i with ``w <= dom_i``, joined when ``w <= overlap(i, j)``. Here
+    they are numbered in the order of their first leg. The key is the
+    target, the number of classes at each object (in ``site.objects()``
+    order) and, for each pair ``(v, u)`` of ``site.pairs()``, the number
+    at v of the class each class at u restricts to. The key is kept on
+    the cover for its site, as `CoverFamily.compiled` keeps its tables,
+    so each cover's is built once per site.
+    """
+    found = cover._sieve_key
+    if found is not None and found[0] is site:
+        return found[1]
+    doms = cover.domains()
+    overlaps = cover.compiled(site).overlaps
+    leq = site.leq
+    numbers, firsts = {}, {}
+    for w in site.objects():
+        live = [i for i, d in enumerate(doms) if leq(w, d)]
+        number = numbers[w] = {}
+        first = firsts[w] = []
+        for i in live:
+            if i in number:
+                continue
+            number[i] = len(first)
+            first.append(i)
+            stack = [i]
+            while stack:
+                a = stack.pop()
+                for b in live:
+                    if b not in number and (
+                        leq(w, overlaps[a][b]) or leq(w, overlaps[b][a])
+                    ):
+                        number[b] = number[i]
+                        stack.append(b)
+    key = (
+        cover.target,
+        tuple(len(first) for first in firsts.values()),
+        tuple(
+            tuple(numbers[v][i] for i in firsts[u]) for v, u in site.pairs()
+        ),
+    )
+    object.__setattr__(cover, "_sieve_key", (site, key))
+    return key
 
 
 def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:

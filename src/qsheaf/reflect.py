@@ -9,10 +9,14 @@ the fixpoint. The construction is certified, never trusted: the result
 must pass both sheaf checks and the unit must induce hom-set bijections
 against an exhaustively enumerated battery of small sheaves. The battery
 prunes its tables with the equalizer check's own gluing count
-(`sheaf._families` and `sheaf._glue_buckets`). At the end it audits
-every member by the literal equalizer diagram of each of its covers
-(`sheaf._audit_verdicts`), not by a replay of the count that admitted
-it; only a cover too large to diagram is audited by the count.
+(`sheaf._families` and `sheaf._glue_buckets`), at each object for one
+cover per distinct sieve (`presheaf.sieve_key`), since covers with one
+sieve glue alike. At the end it audits every member by the literal
+equalizer diagram of each of its covers (`sheaf._audit_verdicts`), not
+by a replay of the count that admitted it; only a cover too large to
+diagram is audited by the count. A `sub` run takes the homs from each
+lattice member into each battery sheaf once, and certifies each image
+factorization by comparing their values on the image.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .presheaf import (
     hom_presheaves,
     identity_morphism,
     iso_presheaves,
+    sieve_key,
     site_order,
     terminal_presheaf,
 )
@@ -189,10 +194,22 @@ def enumerate_sheaves(site, coverage: Coverage, max_size: int = 2) -> list:
     labels = [f"v{i}" for i in range(max_size)]
     order, children, _ = site_order(site)
     at, res = {}, {}
+    # Covers with one sieve glue alike, so each object is pruned with one
+    # cover per distinct sieve, the one with the fewest legs. Fewer covers
+    # admit more tables, never fewer; the audit below reads every cover.
+    pruning = {}
+    for u in order:
+        fewest = {}
+        for cover in coverage.families(u):
+            key = sieve_key(site, cover)
+            if key not in fewest or len(cover) < len(fewest[key]):
+                fewest[key] = cover
+        pruning[u] = list(fewest.values())
 
     def sheaf_ok_at(u):
-        """No cover of u has two sections in one bucket or an unglued family."""
-        for cover in coverage.families(u):
+        """No pruning cover of u has two sections in one bucket or an
+        unglued family."""
+        for cover in pruning[u]:
             buckets = _glue_buckets(site, at, res, cover)
             if any(len(zs) > 1 for zs in buckets.values()):
                 return False
@@ -405,13 +422,51 @@ class ExtremalFactorization:
     battery_size: int
 
 
+def _sections(p: Presheaf) -> list:
+    """The pairs ``(u, y)`` of each object u and section y of p, in site order."""
+    return [(u, y) for u in p.objects() for y in p.value(u)]
+
+
+def _hom_values(target: Presheaf, g: Presheaf) -> list:
+    """The homs target -> g, each as the tuple of its values on
+    `_sections(target)`."""
+    sections = _sections(target)
+    return [
+        tuple([h.components[u].assignment[y] for u, y in sections])
+        for h in hom_presheaves(target, g)
+    ]
+
+
+def _epi_certified(image: dict, target: Presheaf, hom_lists) -> bool:
+    """Is a map onto the sections `image` of `target` epi against the battery?
+
+    `hom_lists` gives, for each battery sheaf g, the homs target -> g as
+    `_hom_values` lists them. Two of them become equal after the map
+    exactly when they agree on the image, so the map is certified when no
+    two agree there.
+    """
+    on_image = [k for k, (u, y) in enumerate(_sections(target)) if y in image[u]]
+    return all(
+        len({tuple([h[k] for k in on_image]) for h in homs}) == len(homs)
+        for homs in hom_lists
+    )
+
+
 def extremal_factorize(
     m: PresheafMorphism,
     coverage: Coverage,
     lattice: SubobjectLattice | None = None,
     battery: list | None = None,
+    hom_table: dict | None = None,
 ) -> ExtremalFactorization:
-    """Corestrict onto the least subsheaf containing the image."""
+    """Corestrict onto the least subsheaf containing the image.
+
+    The epi is certified by `_epi_certified`. The homs out of the least
+    subsheaf are taken once per (lattice index, battery index) into
+    `hom_table`;
+    a caller that passes one table must pass the same lattice and battery
+    with it every time.
+    """
     f = m.dst
     if lattice is None:
         lattice = subsheaf_lattice(f, coverage)
@@ -436,16 +491,16 @@ def extremal_factorize(
     mono = lattice.inclusions[least]
     if battery is None:
         battery = enumerate_sheaves(f.site, coverage, max_size=2)
-    certified = True
-    for g in battery:
-        seen = {}
-        for alpha in hom_presheaves(target, g):
-            key = epi.then(alpha)
-            if seen.setdefault(key, alpha) != alpha:
-                certified = False
-                break
-        if not certified:
-            break
+    if hom_table is None:
+        hom_table = {}
+
+    def hom_lists():
+        for idx, g in enumerate(battery):
+            if (least, idx) not in hom_table:
+                hom_table[least, idx] = _hom_values(target, g)
+            yield hom_table[least, idx]
+
+    certified = _epi_certified(image, target, hom_lists())
     return ExtremalFactorization(epi, mono, least, certified, len(battery))
 
 
@@ -469,11 +524,13 @@ def star(
     coverage: Coverage,
     lattice: SubobjectLattice | None = None,
     battery: list | None = None,
+    hom_table: dict | None = None,
 ) -> ExtremalFactorization:
     """The subobject reached by tensoring two subobjects inside a sheaf.
 
     Convolve the two sources, reflect, equalize the two induced maps back
-    into the ambient sheaf, then take the extremal image.
+    into the ambient sheaf, then take the extremal image
+    (`extremal_factorize`, which `hom_table` is passed to).
     """
     if left.dst != right.dst:
         raise SiteMismatch("star needs two subobjects of one sheaf")
@@ -503,7 +560,7 @@ def star(
     eq = Presheaf(site, at, res)
     comps = {u: {e: phi1.component(u)(e) for e in es} for u, es in at.items()}
     into_f = PresheafMorphism(eq, f, comps)
-    return extremal_factorize(into_f, coverage, lattice, battery)
+    return extremal_factorize(into_f, coverage, lattice, battery, hom_table)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ keys of its compiled form (`CoverFamily.compiled`). Sheafification's
 forcing scan and the battery in `reflect` count with the same helpers,
 and the battery's audit reads each member's diagrams (`_audit_verdicts`).
 The second checker tests orthogonality against canonical sieve
-inclusions by enumerating natural transformations on both sides.
+inclusions by enumerating natural transformations on both sides, once
+per distinct sieve (`presheaf.sieve_key`): the outcome depends on the
+cover only through its sieve.
 `check_sheaf` is the one place that runs them together: the two must
 always agree, and it raises `InternalDefect` when they do not, a defect
 of this library, never of the input.
@@ -30,6 +32,7 @@ from .presheaf import (
     PresheafMorphism,
     backtrack,
     hom_presheaves,
+    sieve_key,
     sieve_of,
     site_order,
     yoneda,
@@ -188,12 +191,15 @@ def _shared_diagram(f: Presheaf, covers: list, batch: list, verdicts: list):
     overlap_ids, first_table, second_table = {}, {}, {}
     for idx in batch:
         cover = covers[idx]
+        values = [at[d] for d in cover.domains()]
+        if not all(values):
+            continue  # an empty value set leaves the cover no leg tuple
         lefts, rights = [], []  # restrictions of legs i and j to their overlap
         for i, row in enumerate(cover.compiled(site).pairs):
             for j, (left, right) in enumerate(row):
                 lefts.append((i, res[left].assignment))
                 rights.append((j, res[right].assignment))
-        for t in itertools.product(*(at[d] for d in cover.domains())):
+        for t in itertools.product(*values):
             k = len(tuples)
             tuples.append(t)
             owners.append(idx)
@@ -249,12 +255,18 @@ def check_sheaf_equalizer(f: Presheaf, coverage: Coverage) -> SheafReport:
 
 
 def check_sheaf_orthogonal(f: Presheaf, coverage: Coverage) -> SheafReport:
-    """Test unique lifting against every canonical sieve inclusion."""
+    """Test unique lifting against every canonical sieve inclusion.
+
+    The outcome is a function of the sieve and `f` alone, so the homs out
+    of a sieve are enumerated once per distinct `sieve_key`, and that
+    outcome is recorded for every cover with the key.
+    """
     if f.site != coverage.site:
         raise SiteMismatch("presheaf and coverage live on different sites")
     site = f.site
     report = SheafReport("orthogonal", VERDICT_SHEAF)
     hom_y_cache = {}
+    by_sieve = {}  # sieve_key -> (families, unglued, ambiguous)
     for cover in coverage.all_families():
         u = cover.target
         if u not in hom_y_cache:
@@ -264,13 +276,18 @@ def check_sheaf_orthogonal(f: Presheaf, coverage: Coverage) -> SheafReport:
                     f"internal defect: {len(homs_y)} maps y({site.name(u)}) -> f for "
                     f"{len(f.value(u))} sections, against the Yoneda lemma"
                 )
-        sv = sieve_of(site, cover)
-        homs_sieve = hom_presheaves(sv.presheaf, f)
-        precomposed = [sv.canonical.then(m) for m in hom_y_cache[u]]
-        images = set(precomposed)
-        unglued = len(set(homs_sieve) - images)
-        ambiguous = len(precomposed) - len(images)
-        report.add(CoverOutcome(cover, len(homs_sieve), unglued, ambiguous))
+        key = sieve_key(site, cover)
+        if key not in by_sieve:
+            sv = sieve_of(site, cover)
+            homs_sieve = hom_presheaves(sv.presheaf, f)
+            precomposed = [sv.canonical.then(m) for m in hom_y_cache[u]]
+            images = set(precomposed)
+            by_sieve[key] = (
+                len(homs_sieve),
+                len(set(homs_sieve) - images),
+                len(precomposed) - len(images),
+            )
+        report.add(CoverOutcome(cover, *by_sieve[key]))
     return report
 
 

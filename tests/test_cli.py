@@ -177,6 +177,25 @@ CASES = [
         ["sub", "s.json", "c.json", "p.json"],
         0,
     ),
+    *(
+        Case(
+            f"sub_{site}_{name}_trivial",
+            {
+                "s.json": corpus(f"site_{site}.json"),
+                "c.json": corpus(f"coverage_trivial_{site}.json"),
+                "p.json": corpus(f"presheaf_{prefix}_{name}.json"),
+            },
+            ["sub", "s.json", "c.json", "p.json"],
+            0,
+        )
+        # the trivial coverages' large batteries: 249 and 6,427 sheaves
+        for site, prefix, name in [
+            ("powerset2", "powerset2", "constant_two"),
+            ("powerset2", "powerset2", "separated"),
+            ("product_chain2_luk3", "product", "terminal"),
+            ("product_chain2_luk3", "product", "doubled_bottom"),
+        ]
+    ),
     Case(
         "verify_appendix_luk3",
         {},

@@ -27,6 +27,7 @@ from qsheaf.presheaf import (
     identity_morphism,
     iso_presheaves,
     parse_presheaf,
+    sieve_key,
     sieve_of,
     terminal_presheaf,
     validate_presheaf,
@@ -550,3 +551,45 @@ class TestSieveOracle:
             (luk3, CoverFamily("0", [])),
         ]:
             assert_sieve_is_the_coequalizer(site, cover)
+
+
+def presheaf_of_key(site, key):
+    """The presheaf a sieve key presents: classes 0..n-1 at each object."""
+    _, counts, maps = key
+    at = {w: list(range(n)) for w, n in zip(site.objects(), counts)}
+    res = {vu: dict(enumerate(m)) for vu, m in zip(site.pairs(), maps)}
+    return Presheaf(site, at, res)
+
+
+class TestSieveKey:
+    @pytest.mark.parametrize("name", CORPUS_SITES)
+    def test_the_key_presents_the_sieve(self, name):
+        """Each cover's key presents its sieve up to isomorphism, so covers
+        with one key have isomorphic sieves."""
+        site, canonical, trivial = corpus_site(name)
+        for cover in [*canonical.all_families(), *trivial.all_families()]:
+            key = sieve_key(site, cover)
+            assert key[0] == cover.target
+            assert iso_presheaves(
+                presheaf_of_key(site, key), sieve_of(site, cover).presheaf
+            ) is not None, cover
+
+    def test_split_and_merged_legs_get_different_keys(self):
+        _, luk3 = luk3_site()
+        # h*h = 0 < h: the doubled leg has two classes at h, a single one one
+        doubled, single = family(luk3, ["h", "h"], "h"), family(luk3, ["h"], "h")
+        assert sieve_key(luk3, doubled) != sieve_key(luk3, single)
+        _, powerset2 = powerset2_site()
+        # on a locale, legs below a leg add nothing to its sieve
+        assert sieve_key(
+            powerset2, family(powerset2, ["{x}", "{xy}"], "{xy}")
+        ) == sieve_key(powerset2, family(powerset2, ["{xy}"], "{xy}"))
+
+    def test_the_key_is_built_once_per_site(self, monkeypatch):
+        _, luk3 = luk3_site()
+        cover = family(luk3, ["h", "h"], "h")
+        key = sieve_key(luk3, cover)
+        monkeypatch.setattr(luk3, "leq", None)  # a rebuild would call it
+        assert sieve_key(luk3, cover) is key
+        other = luk3_site()[1]
+        assert sieve_key(other, cover) == key

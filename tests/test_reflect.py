@@ -2,9 +2,10 @@
 
 import pytest
 
-from corpus_sites import CORPUS_SITES, corpus_site
+from certificate_oracles import composite_epi_certified
+from corpus_sites import CORPUS_SITES, corpus_presheaves, corpus_site
 from subobject_order import subsheaf_join, subsheaf_leq
-from qsheaf import reflect, sheaf
+from qsheaf import cli, reflect, sheaf
 from qsheaf.checks import CheckEntry
 from qsheaf.coverage import canonical_quantale_coverage, product_coverage
 from qsheaf.errors import (
@@ -16,10 +17,12 @@ from qsheaf.errors import (
 )
 from qsheaf.moncat import ThinCategory, canon
 from qsheaf.presheaf import (
+    PresheafMorphism,
     day_convolve,
     hom_presheaves,
     iso_presheaves,
     parse_presheaf,
+    sieve_key,
     terminal_presheaf,
     yoneda,
 )
@@ -37,7 +40,12 @@ from qsheaf.reflect import (
     star,
     subsheaf_lattice,
 )
-from qsheaf.sheaf import check_sheaf, plus_construction, product_sheaf
+from qsheaf.sheaf import (
+    check_sheaf,
+    check_sheaf_equalizer,
+    plus_construction,
+    product_sheaf,
+)
 
 
 def site_of(name, param):
@@ -209,6 +217,40 @@ class TestBattery:
         )
         with pytest.raises(InternalDefect, match="battery admitted a non-sheaf"):
             enumerate_sheaves(site, cov, max_size=2)
+
+    def test_a_wrong_sieve_grouping_fails_the_audit(self, monkeypatch):
+        """Taking every cover of an object for one sieve prunes the top of
+        powerset2 with its one-leg cover alone, which every table passes;
+        the audit must refuse what that lets in."""
+        q, site, cov = site_of("powerset_locale", 2)
+        monkeypatch.setattr(reflect, "sieve_key", lambda site, cover: cover.target)
+        with pytest.raises(InternalDefect, match="battery admitted a non-sheaf"):
+            enumerate_sheaves(site, cov, max_size=2)
+
+    @pytest.mark.parametrize("name", CORPUS_SITES)
+    def test_each_object_is_pruned_once_per_sieve(self, monkeypatch, name):
+        """The search reads one cover per distinct sieve of each object,
+        the one with the fewest legs, the first of them on a tie."""
+        read = set()
+        buckets = reflect._glue_buckets
+
+        def recording(site, at, res, cover):
+            read.add(cover)
+            return buckets(site, at, res, cover)
+
+        monkeypatch.setattr(reflect, "_glue_buckets", recording)
+        site, canonical, trivial = corpus_site(name)
+        for coverage in (canonical, trivial):
+            read.clear()
+            enumerate_sheaves(site, coverage, max_size=2)
+            fewest = {}
+            for cover in coverage.all_families():
+                key = sieve_key(site, cover)
+                if key not in fewest or len(cover) < len(fewest[key]):
+                    fewest[key] = cover
+            assert read == set(fewest.values())
+            if coverage is canonical:  # which repeats sieves
+                assert len(read) < coverage.family_count()
 
     # literal diagrams built by the size-2 audit, per corpus site and
     # coverage: the totals of `check_sheaf_equalizer(member).cross_checked`
@@ -401,6 +443,70 @@ class TestStar:
         assert fact.mono.is_mono()
         assert fact.epi_certified and fact.battery_size >= 4
         assert support_element(q, site, fact.mono.src) == "h"
+
+
+    @pytest.mark.parametrize("name", CORPUS_SITES)
+    def test_epi_certificates_match_the_composite_oracle(self, name):
+        """Every `sub` cell of every corpus sheaf, canonical coverage: the
+        certificate by hom values gives the composites' verdict, on the
+        least subsheaf holding the image and on every larger one.
+        powerset2 has no corpus sheaf, so no cell."""
+        site, canonical, _ = corpus_site(name)
+        battery = enumerate_sheaves(site, canonical, max_size=2)
+        verdicts = set()
+        for f in corpus_presheaves(name, site):
+            if not check_sheaf_equalizer(f, canonical).ok:
+                continue
+            lattice = subsheaf_lattice(f, canonical)
+            members, hom_table = lattice.members, {}
+            for i in range(len(members)):
+                for j in range(len(members)):
+                    fact = star(lattice.inclusions[i], lattice.inclusions[j],
+                                canonical, lattice, battery, hom_table)
+                    assert fact.epi_certified == composite_epi_certified(
+                        fact.epi, battery
+                    )
+                    comps = {u: c.assignment for u, c in fact.epi.components.items()}
+                    image = {u: set(a.values()) for u, a in comps.items()}
+                    for s in members:
+                        if any(not image[u] <= set(s.value(u)) for u in image):
+                            continue
+                        epi = PresheafMorphism(fact.epi.src, s, comps)
+                        want = composite_epi_certified(epi, battery)
+                        verdicts.add(want)
+                        assert reflect._epi_certified(image, s, (
+                            reflect._hom_values(s, g) for g in battery
+                        )) == want
+        assert verdicts == (set() if name == "powerset2" else {True, False})
+
+    def test_sub_takes_one_hom_list_per_member_and_battery_sheaf(self, monkeypatch):
+        built, calls = [], []
+        enumerate_battery, lattice_of = cli.enumerate_sheaves, cli.subsheaf_lattice
+        homs = reflect.hom_presheaves
+
+        def keep(value):
+            built.append(value)
+            return value
+
+        monkeypatch.setattr(
+            cli, "enumerate_sheaves", lambda *a, **k: keep(enumerate_battery(*a, **k))
+        )
+        monkeypatch.setattr(cli, "subsheaf_lattice", lambda *a: keep(lattice_of(*a)))
+        monkeypatch.setattr(
+            reflect, "hom_presheaves", lambda f, g: calls.append((f, g)) or homs(f, g)
+        )
+        corpus = cli.corpus_dir()
+        assert cli.main([
+            "sub", str(corpus / "site_product_chain2_luk3.json"),
+            str(corpus / "coverage_canonical.json"),
+            str(corpus / "presheaf_product_terminal.json"),
+        ]) == 0
+        lattice, battery = built
+        into_battery = [(f, g) for f, g in calls if any(g is b for b in battery)]
+        pairs = {(id(f), id(g)) for f, g in into_battery}
+        sources = {id(f) for f, _ in into_battery}
+        assert len(pairs) == len(into_battery) == len(sources) * len(battery)
+        assert sources <= {id(m) for m in lattice.members}
 
 
 class TestDownSetCriterion:

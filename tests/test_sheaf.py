@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from certificate_oracles import per_cover_orthogonal
 from corpus_sites import CORPUS_SITES, corpus, corpus_presheaves, corpus_site
 from equalizer_oracle import one_cover_verdict
 from qsheaf import sheaf
@@ -22,6 +23,7 @@ from qsheaf.presheaf import (
     Presheaf,
     iso_presheaves,
     parse_presheaf,
+    sieve_key,
     terminal_presheaf,
     yoneda,
 )
@@ -422,6 +424,49 @@ class TestSharedDiagrams:
             InternalDefect, match="family count and equalizer diagram disagree"
         ):
             check_sheaf_equalizer(sep, cov)
+
+
+def outcome_counts(report):
+    return [(o.cover, o.families, o.unglued, o.ambiguous) for o in report.outcomes]
+
+
+class TestOneCheckPerSieve:
+    @pytest.mark.parametrize("name", CORPUS_SITES)
+    def test_the_checkers_agree_cover_by_cover(self, name):
+        """Family, unglued and ambiguous counts agree on every cover, so
+        covers with one sieve glue alike: the battery prunes each object
+        with one cover per sieve on the strength of this."""
+        for coverage, presheaves in corpus_cases(name):
+            for f in presheaves:
+                assert outcome_counts(check_sheaf_equalizer(f, coverage)) == (
+                    outcome_counts(check_sheaf_orthogonal(f, coverage))
+                ), f
+
+    @pytest.mark.parametrize("name", CORPUS_SITES)
+    def test_the_per_cover_oracle_gives_the_same_outcomes(self, name):
+        site, *coverages = corpus_site(name)
+        for coverage in coverages:
+            for f in corpus_presheaves(name, site):
+                outcomes = check_sheaf_orthogonal(f, coverage).outcomes
+                assert [
+                    (o.families, o.unglued, o.ambiguous) for o in outcomes
+                ] == per_cover_orthogonal(f, coverage), f
+
+    def test_one_sieve_per_distinct_key(self, monkeypatch):
+        site, canonical, _ = corpus_site("product_chain2_luk3")
+        built = []
+        build = sheaf.sieve_of
+
+        def recording(site, cover):
+            built.append(cover)
+            return build(site, cover)
+
+        monkeypatch.setattr(sheaf, "sieve_of", recording)
+        covers = list(canonical.all_families())
+        keys = {sieve_key(site, cover) for cover in covers}
+        check_sheaf_orthogonal(terminal_presheaf(site), canonical)
+        assert len(built) == len(keys) < len(covers)
+        assert {sieve_key(site, cover) for cover in built} == keys
 
 
 class TestShift:
