@@ -8,8 +8,9 @@ only included when requested so that the default output can be diffed.
 
 Exit codes: 0 every check passed, 1 some check failed, 2 an input was
 malformed or outside a checker's domain, 3 an iteration budget ran out,
-4 two of qsheaf's own independent computations disagreed (a bug in qsheaf,
-reported as the check `internal-defect`).
+4 a bug in qsheaf: two of its own independent computations disagreed
+(reported as the check `internal-defect`), or an unforeseen exception
+escaped a command (reported as the check `internal-error`).
 """
 
 import argparse
@@ -577,9 +578,9 @@ def main(argv=None) -> int:
     except QsheafError as exc:
         report.add(type(exc).__name__, False, str(exc))
         code = EXIT_INVALID
-    except Exception as exc:  # a CLI must not dump tracebacks on bad input
+    except Exception as exc:  # an unforeseen error is a defect here, not bad input
         report.add("internal-error", False, f"{type(exc).__name__}: {exc}")
-        code = EXIT_INVALID
+        code = EXIT_DEFECT
     if args.timing:
         report.timing = {"seconds": round(time.perf_counter() - start, 6)}
     print(report.render_text(code))

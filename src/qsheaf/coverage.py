@@ -47,13 +47,18 @@ class CompiledCover(NamedTuple):
     `legs` holds ``(d_i, target)`` for each leg domain ``d_i``,
     `overlaps[i][j]` the apex ``w_ij`` of legs i and j, and `pairs[i][j]`
     the keys ``(w_ij, d_i)`` and ``(w_ij, d_j)`` of the restrictions of
-    both legs to it, for every ordered leg pair.
+    both legs to it, for every ordered leg pair. `checks[k]` lists the
+    triples ``(i, key_i, key_k)`` that a section of leg k must meet
+    against each earlier leg i: the keys of both legs at ``w_ik``, and at
+    ``w_ki`` too where the two apexes differ, as off commutative sites
+    they can.
     """
 
     site: object
     legs: tuple
     overlaps: tuple
     pairs: tuple
+    checks: tuple
 
 
 class CoverFamily:
@@ -64,7 +69,8 @@ class CoverFamily:
     key, the target's name with the sorted domain names (which fix a
     family on a thin site), is built on first use by `key`, `==` or `hash`;
     the restriction keys the sheaf checks and sieves read, on first use
-    by `compiled`; the sieve key, on first use by `presheaf.sieve_key`.
+    by `compiled`; the sieve key and its classes, on first use by
+    `presheaf.sieve_key`.
     """
 
     __slots__ = ("target", "legs", "_domains", "_key", "_compiled", "_sieve_key")
@@ -103,14 +109,25 @@ class CoverFamily:
             overlaps = tuple(
                 tuple(site.overlap(a, b) for b in self.legs) for a in self.legs
             )
+            pairs = tuple(
+                tuple(((w, di), (w, dj)) for w, dj in zip(row, doms))
+                for row, di in zip(overlaps, doms)
+            )
+            checks = []
+            for k in range(len(doms)):
+                row = []
+                for i in range(k):
+                    row.append((i, *pairs[i][k]))
+                    if overlaps[k][i] != overlaps[i][k]:
+                        key_k, key_i = pairs[k][i]
+                        row.append((i, key_i, key_k))
+                checks.append(tuple(row))
             found = CompiledCover(
                 site,
                 tuple((d, self.target) for d in doms),
                 overlaps,
-                tuple(
-                    tuple(((w, di), (w, dj)) for w, dj in zip(row, doms))
-                    for row, di in zip(overlaps, doms)
-                ),
+                pairs,
+                tuple(checks),
             )
             object.__setattr__(self, "_compiled", found)
         return found

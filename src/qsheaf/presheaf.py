@@ -518,8 +518,8 @@ def sieve_key(site: ThinCategory, cover: CoverFamily) -> tuple:
     target, the number of classes at each object (in ``site.objects()``
     order) and, for each pair ``(v, u)`` of ``site.pairs()``, the number
     at v of the class each class at u restricts to. The key is kept on
-    the cover for its site, as `CoverFamily.compiled` keeps its tables,
-    so each cover's is built once per site.
+    the cover for its site with each object's class number of each leg,
+    which `sieve_of` names, so a cover's classes are found once per site.
     """
     found = cover._sieve_key
     if found is not None and found[0] is site:
@@ -553,7 +553,7 @@ def sieve_key(site: ThinCategory, cover: CoverFamily) -> tuple:
             tuple(numbers[v][i] for i in firsts[u]) for v, u in site.pairs()
         ),
     )
-    object.__setattr__(cover, "_sieve_key", (site, key))
+    object.__setattr__(cover, "_sieve_key", (site, key, numbers))
     return key
 
 
@@ -562,28 +562,23 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
 
     At each object w the two parallel maps send the tag (i,j) of an
     arrow into the pseudo-pullback of legs i and j to the tags i and j;
-    their coequalizer classes form the sieve's value at w. A union-find
-    over the tags ``i:*`` of the legs with ``w <= dom_i`` builds those
-    classes directly: it joins i and j whenever ``w <= overlap(i, j)``,
-    and names each class by its least tag, as the test oracle
-    `finset_oracles.coequalizer` does.
+    their coequalizer classes over the tags ``i:*`` form the sieve's value
+    at w. They are the classes `sieve_key` finds, each named here by its
+    least tag, as the test oracle `finset_oracles.coequalizer` names them.
     """
     require_thin(site)
-    legs = cover.legs
-    overlaps = cover.compiled(site).overlaps
-    tags = [finset.tag_label(i, "*") for i in range(len(legs))]
-    at, uf_by_obj = {}, {}
-    for w in site.objects():
-        live = [i for i, leg in enumerate(legs) if site.leq(w, leg.dom)]
-        uf = uf_by_obj[w] = UnionFind(tags[i] for i in live)
-        for i in live:
-            for j in live:
-                if i != j and site.leq(w, overlaps[i][j]):
-                    uf.union(tags[i], tags[j])
-        at[w] = FinSetObj({uf.find(tags[i]) for i in live})
+    key = sieve_key(site, cover)
+    tags = [finset.tag_label(i, "*") for i in range(len(cover.legs))]
+    names = {}  # w -> the name of each class at w, by class number
+    for w, number in cover._sieve_key[2].items():
+        least = {}
+        for i, c in number.items():
+            least[c] = min(least.get(c, tags[i]), tags[i])
+        names[w] = [least[c] for c in range(len(least))]
+    at = {w: FinSetObj(reps) for w, reps in names.items()}
     res = {
-        (v, u): {rep: uf_by_obj[v].find(rep) for rep in at[u]}
-        for v, u in site.pairs()
+        (v, u): {names[u][c]: names[v][down] for c, down in enumerate(row)}
+        for (v, u), row in zip(site.pairs(), key[2])
     }
     s = Presheaf(site, at, res)
     comps = {w: {rep: "*" for rep in reps} for w, reps in at.items()}

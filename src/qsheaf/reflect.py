@@ -273,7 +273,7 @@ def certify_reflection(
     f: Presheaf,
     result: ReflectionResult,
     coverage: Coverage,
-    battery: list | None = None,
+    battery: list,
 ) -> CheckReport:
     """Check the universal property, not just the sheaf condition."""
     report = CheckReport()
@@ -282,8 +282,6 @@ def certify_reflection(
     report.entries.append(CheckEntry("result-sheaf-equalizer", equalizer.ok))
     report.entries.append(CheckEntry("result-sheaf-orthogonal", orthogonal.ok))
     report.entries.append(CheckEntry("unit-natural", result.unit.is_natural()))
-    if battery is None:
-        battery = enumerate_sheaves(f.site, coverage, max_size=2)
     bad = None
     for idx, g in enumerate(battery):
         into = hom_presheaves(result.sheaf, g)
@@ -339,21 +337,8 @@ def preserves_terminal(coverage: Coverage) -> CheckEntry:
 @dataclass
 class SubobjectLattice:
     ambient: Presheaf
-    members: list
+    members: list  # by total size, so each precedes its proper supersets
     inclusions: list
-
-    def meet(self, i: int, j: int) -> int:
-        a, b = self.members[i], self.members[j]
-        want = {
-            u: set(a.value(u).elements) & set(b.value(u).elements)
-            for u in self.ambient.objects()
-        }
-        for k, m in enumerate(self.members):
-            if all(set(m.value(u).elements) == want[u] for u in want):
-                return k
-        raise InternalDefect(
-            "internal defect: subsheaves are not closed under intersection"
-        )
 
 
 # the most candidate subpresheaves (the product of 2^|f(u)|) enumerated
@@ -419,7 +404,6 @@ class ExtremalFactorization:
     mono: PresheafMorphism
     index: int  # of the image among the lattice's members
     epi_certified: bool
-    battery_size: int
 
 
 def _sections(p: Presheaf) -> list:
@@ -454,45 +438,39 @@ def _epi_certified(image: dict, target: Presheaf, hom_lists) -> bool:
 
 def extremal_factorize(
     m: PresheafMorphism,
-    coverage: Coverage,
-    lattice: SubobjectLattice | None = None,
-    battery: list | None = None,
-    hom_table: dict | None = None,
+    lattice: SubobjectLattice,
+    battery: list,
+    hom_table: dict,
 ) -> ExtremalFactorization:
     """Corestrict onto the least subsheaf containing the image.
 
-    The epi is certified by `_epi_certified`. The homs out of the least
-    subsheaf are taken once per (lattice index, battery index) into
-    `hom_table`;
-    a caller that passes one table must pass the same lattice and battery
+    Members are sorted by total size, so the least member holding the
+    image is the first; it must lie inside every other member holding it,
+    or the members are not closed under intersection. The epi is
+    certified by `_epi_certified`. The homs out of the least subsheaf are
+    taken once per (lattice index, battery index) into `hom_table`; a
+    caller that passes one table must pass the same lattice and battery
     with it every time.
     """
     f = m.dst
-    if lattice is None:
-        lattice = subsheaf_lattice(f, coverage)
     image = {
         u: {m.component(u)(x) for x in m.src.value(u)} for u in f.objects()
     }
-    candidates = [
-        i
-        for i, s in enumerate(lattice.members)
-        if all(image[u] <= set(s.value(u).elements) for u in image)
-    ]
-    if not candidates:
+    sets = [{u: set(s.value(u).elements) for u in image} for s in lattice.members]
+    holding = [i for i, s in enumerate(sets) if all(image[u] <= s[u] for u in image)]
+    if not holding:
         raise InternalDefect(
             "internal defect: ambient sheaf does not contain the image"
         )
-    least = candidates[0]
-    for i in candidates[1:]:
-        least = lattice.meet(least, i)
+    least = holding[0]
+    if any(any(not sets[least][u] <= sets[i][u] for u in image) for i in holding):
+        raise InternalDefect(
+            "internal defect: subsheaves are not closed under intersection"
+        )
     target = lattice.members[least]
     comps = {u: c.assignment for u, c in m.components.items()}
     epi = PresheafMorphism(m.src, target, comps)
     mono = lattice.inclusions[least]
-    if battery is None:
-        battery = enumerate_sheaves(f.site, coverage, max_size=2)
-    if hom_table is None:
-        hom_table = {}
 
     def hom_lists():
         for idx, g in enumerate(battery):
@@ -501,30 +479,32 @@ def extremal_factorize(
             yield hom_table[least, idx]
 
     certified = _epi_certified(image, target, hom_lists())
-    return ExtremalFactorization(epi, mono, least, certified, len(battery))
+    return ExtremalFactorization(epi, mono, least, certified)
 
 
-def _extend_along_unit(result: ReflectionResult, psi: PresheafMorphism):
-    """The unique map out of the reflection agreeing with psi on the unit."""
-    matches = [
-        m
-        for m in hom_presheaves(result.sheaf, psi.dst)
-        if result.unit.then(m) == psi
-    ]
-    if len(matches) != 1:
-        raise InternalDefect(
-            f"internal defect: expected one extension, found {len(matches)}"
-        )
-    return matches[0]
+def _extend_along_unit(result: ReflectionResult, *psis: PresheafMorphism) -> list:
+    """The unique map out of the reflection agreeing with each psi on the
+    unit; the psis share a codomain, and the homs into it are listed once."""
+    homs = hom_presheaves(result.sheaf, psis[0].dst)
+    through = [result.unit.then(h) for h in homs]
+    out = []
+    for psi in psis:
+        matches = [h for h, t in zip(homs, through) if t == psi]
+        if len(matches) != 1:
+            raise InternalDefect(
+                f"internal defect: expected one extension, found {len(matches)}"
+            )
+        out.append(matches[0])
+    return out
 
 
 def star(
     left: PresheafMorphism,
     right: PresheafMorphism,
     coverage: Coverage,
-    lattice: SubobjectLattice | None = None,
-    battery: list | None = None,
-    hom_table: dict | None = None,
+    lattice: SubobjectLattice,
+    battery: list,
+    hom_table: dict,
 ) -> ExtremalFactorization:
     """The subobject reached by tensoring two subobjects inside a sheaf.
 
@@ -541,8 +521,7 @@ def star(
     result = sheafify(conv, coverage)
     if not result.converged:
         raise NotConverged("star reflection hit the iteration bound")
-    phi1 = _extend_along_unit(result, p1.then(left))
-    phi2 = _extend_along_unit(result, p2.then(right))
+    phi1, phi2 = _extend_along_unit(result, p1.then(left), p2.then(right))
     site = f.site
     r = result.sheaf
     at = {
@@ -560,7 +539,7 @@ def star(
     eq = Presheaf(site, at, res)
     comps = {u: {e: phi1.component(u)(e) for e in es} for u, es in at.items()}
     into_f = PresheafMorphism(eq, f, comps)
-    return extremal_factorize(into_f, coverage, lattice, battery, hom_table)
+    return extremal_factorize(into_f, lattice, battery, hom_table)
 
 
 # ---------------------------------------------------------------------------
@@ -704,8 +683,8 @@ def probe_pullback_preservation(
     if not record["converged"]:
         record["preserved"] = None
         return record
-    ext1 = _extend_along_unit(r_left, phi1.then(r_mid.unit))
-    ext2 = _extend_along_unit(r_right, phi2.then(r_mid.unit))
+    [ext1] = _extend_along_unit(r_left, phi1.then(r_mid.unit))
+    [ext2] = _extend_along_unit(r_right, phi2.then(r_mid.unit))
     sheaf_apex, _, _ = pointwise_pullback(ext1, ext2)
     iso = iso_presheaves(r_apex.sheaf, sheaf_apex)
     record["reflected_apex_sizes"] = {

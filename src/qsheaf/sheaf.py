@@ -58,19 +58,19 @@ def _families(site, at, res, cover):
     `at` and `res` have a `Presheaf`'s table shape (``u -> FinSetObj``,
     ``(v, u) -> FinMap``, identities included), as the battery's do. A
     section of leg k must agree with the chosen section of each earlier
-    leg i on their overlap.
+    leg i on their overlaps, the checks `CompiledCover.checks` lists.
     """
     doms = cover.domains()
-    pairs = cover.compiled(site).pairs
-    tables = {}  # k -> restriction tables of legs i and k, for each i < k
+    checks = cover.compiled(site).checks
+    tables = {}  # k -> (i, restriction tables of legs i and k) per check of k
 
     def sections(k, chosen):
         if k not in tables:
             tables[k] = [
-                (res[left].assignment, res[right].assignment)
-                for left, right in (pairs[i][k] for i in range(k))
+                (i, res[left].assignment, res[right].assignment)
+                for i, left, right in checks[k]
             ]
-        wants = [(right, left[xi]) for (left, right), xi in zip(tables[k], chosen)]
+        wants = [(right, left[chosen[i]]) for i, left, right in tables[k]]
         return [x for x in at[doms[k]] if all(m[x] == y for m, y in wants)]
 
     return backtrack(len(doms), sections)
@@ -194,9 +194,13 @@ def _shared_diagram(f: Presheaf, covers: list, batch: list, verdicts: list):
         values = [at[d] for d in cover.domains()]
         if not all(values):
             continue  # an empty value set leaves the cover no leg tuple
-        lefts, rights = [], []  # restrictions of legs i and j to their overlap
+        # restrictions of legs i and j to their overlap, for i != j: a pair
+        # (i, i) restricts one section along one key on both sides
+        lefts, rights = [], []
         for i, row in enumerate(cover.compiled(site).pairs):
             for j, (left, right) in enumerate(row):
+                if i == j:
+                    continue
                 lefts.append((i, res[left].assignment))
                 rights.append((j, res[right].assignment))
         for t in itertools.product(*values):

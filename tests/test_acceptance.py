@@ -343,7 +343,7 @@ def test_07_terminal_subobjects_recover_the_quantale():
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 assert subsheaf_leq(lattice, i, j) == q.leq(a, b)
-        battery = enumerate_sheaves(site, cov, max_size=2)
+        battery, hom_table = enumerate_sheaves(site, cov, max_size=2), {}
         for i, a in enumerate(elements):
             for j, b in enumerate(elements):
                 fact = star(
@@ -352,6 +352,7 @@ def test_07_terminal_subobjects_recover_the_quantale():
                     cov,
                     lattice=lattice,
                     battery=battery,
+                    hom_table=hom_table,
                 )
                 assert lattice.members[fact.index] == fact.mono.src
                 got = elements[fact.index]

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from noncommutative_site import BOTH_OVERLAPS_PRESHEAF_RAW, noncommutative_chain4_raw
 import qsheaf
 from qsheaf.cli import corpus_dir, main
 from qsheaf.coverage import canonical_quantale_coverage
@@ -590,6 +591,43 @@ class TestExitCodes:
         verdicts = json.loads(report_path.read_text())["verdicts"]
         assert [(v["check"], v["ok"]) for v in verdicts] == [("internal-defect", False)]
         assert "equalizer=sheaf, orthogonal=presheaf" in verdicts[0]["witness"]
+
+    def test_an_unforeseen_exception_is_an_internal_defect(
+        self, tmp_path, monkeypatch
+    ):
+        """An exception no check foresaw is a bug in qsheaf, never bad input."""
+
+        def broken(args, report, rng):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr("qsheaf.cli._cmd_check_quantale", broken)
+        report_path = tmp_path / "r.json"
+        site = str(corpus_dir() / "site_luk3.json")
+        assert main(["check-quantale", site, "--json", str(report_path)]) == 4
+        assert json.loads(report_path.read_text())["verdicts"] == [{
+            "check": "internal-error",
+            "checked": None,
+            "ok": False,
+            "witness": "RuntimeError: injected",
+        }]
+
+    def test_families_are_checked_at_both_overlaps(self, tmp_path, capsys):
+        """Off commutative sites legs i and j can overlap at two objects;
+        the family count checks both, as the literal diagram does, so the
+        two definitions find the same separated cover."""
+        files = {
+            "s.json": noncommutative_chain4_raw(),
+            "c.json": corpus("coverage_canonical.json"),
+            "p.json": BOTH_OVERLAPS_PRESHEAF_RAW,
+        }
+        stage(tmp_path, Case("", files, [], 0))
+        code = main(["check-sheaf"] + [str(tmp_path / name) for name in files])
+        assert code == 1
+        assert capsys.readouterr().out == (
+            "FAIL sheaf-equalizer [verdict: separated; cover {0,0,a,a} -> a]\n"
+            "FAIL sheaf-orthogonal [verdict: separated; cover {0,0,a,a} -> a]\n"
+            "check-sheaf: 0/2 checks passed (exit 1)\n"
+        )
 
     @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
     def test_json_report_needs_a_file_in_a_directory(self, where, tmp_path, capsys):

@@ -16,6 +16,7 @@ import pytest
 
 from coverage_edits import with_family, without_family
 from monoidal_laws import is_iso
+from noncommutative_site import noncommutative_chain4_raw
 from qsheaf import coverage as coverage_module
 from qsheaf.checks import CheckEntry, drain
 from qsheaf.cli import corpus_dir
@@ -83,21 +84,6 @@ def mid_unit_chain3_raw():
             else:
                 mul[f"{a},{b}"] = "t"
     return {"elements": els, "leq": leq, "mul": mul, "unit": "e"}
-
-
-def noncommutative_chain4_raw():
-    """4-chain 0 < a < b < 1 with top unit and a (x) b = 0 but b (x) a = a."""
-    els = ["0", "a", "b", "1"]
-    rank = {e: i for i, e in enumerate(els)}
-    leq = [[x, y] for x in els for y in els if rank[x] <= rank[y]]
-    mul = {"a,a": "0", "a,b": "0", "b,a": "a", "b,b": "b"}
-    for x in els:
-        for y in els:
-            if "0" in (x, y):
-                mul[f"{x},{y}"] = "0"
-            elif "1" in (x, y):
-                mul[f"{x},{y}"] = y if x == "1" else x
-    return {"elements": els, "leq": leq, "mul": mul, "unit": "1"}
 
 
 class TestCanonicalMembership:

@@ -1,5 +1,6 @@
 """Source guards: every imported name is used, every public function and
-method is called by the program, every export exists, and no module
+method is called by the program, every defaulted parameter is one the
+program both passes and leaves out, every export exists, and no module
 asserts.
 
 An `assert` vanishes under `python -O`, and an `AssertionError` would
@@ -146,6 +147,100 @@ def test_no_unused_api():
     bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
     assert bench
     assert unused_api(program, bench) == sorted(UNUSED_API)
+
+
+def defaulted_parameters(tree) -> dict:
+    """`function.parameter` -> its position, or None for a keyword-only
+    one, for each defaulted parameter of a public module-level function."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for k, arg in enumerate(positional[first:], first):
+                out[f"{node.name}.{arg.arg}"] = k
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    out[f"{node.name}.{arg.arg}"] = None
+    return out
+
+
+def passes(call, position, name) -> bool:
+    """Does a call set the parameter at `position` named `name`?"""
+    if any(k.arg is None for k in call.keywords):
+        return True  # **kwargs may set it
+    if position is not None and (
+        position < len(call.args)
+        or any(isinstance(a, ast.Starred) for a in call.args)
+    ):
+        return True
+    return any(k.arg == name for k in call.keywords)
+
+
+def defaults_for_tests_only(program, callers) -> list:
+    """Defaulted parameters of the `program` trees' public functions that
+    the calls in the `callers` trees never set, or always set: then either
+    the parameter or its default serves only the tests.
+
+    Calls are matched by the function's name alone, as in `unused_api`.
+    """
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for tree in program:
+        for qualified, position in defaulted_parameters(tree).items():
+            function, name = qualified.split(".")
+            setting = [passes(c, position, name) for c in calls.get(function, [])]
+            if not any(setting) or all(setting):
+                found.append(qualified)
+    return sorted(found)
+
+
+def test_guard_sees_a_test_only_default():
+    source = (
+        "def f(a, b=1, c=None, *, d=2, e=3):\n    return a\n\n"
+        "def _private(x=1):\n    return x\n"
+    )
+    caller = "f(1, c=2, e=1)\nm.f(1, 2, None, e=4)\n_private()\n"
+    assert defaults_for_tests_only([ast.parse(source)], [ast.parse(caller)]) == [
+        "f.c", "f.d", "f.e",
+    ]
+
+
+# Defaulted parameters that the program never sets, or never leaves out,
+# each kept for the reason given; a name the program starts to both set and
+# leave out must leave the list.
+TEST_ONLY_DEFAULTS = {
+    "canonical_quantale_coverage.mult_cap": "the cap the quantale's class"
+    " fixes, which the tests vary to probe membership at other caps",
+    "trivial_coverage.quantale": "trivial_coverage has no caller yet"
+    " (UNUSED_API)",
+    "sheaf_tensor.max_iter": "sheaf_tensor has no caller yet (UNUSED_API)",
+    "probe_pullback_preservation.max_iter": "probe_pullback_preservation has"
+    " no caller yet (UNUSED_API)",
+    "check_flavor.flavor": "falls back to the coverage's own flavor, a"
+    " field read that rebuilds nothing",
+    "enumerate_sheaves.max_size": "the constant 2, the battery size `sub`"
+    " uses; it rebuilds nothing",
+    "parse_coverage.quantale": "only a canonical coverage spec reads it;"
+    " explicit specs parse without one",
+    "verify_appendix_suite.size_bound": "None leaves each instance its own"
+    " bound; it rebuilds nothing",
+}
+
+
+def test_no_test_only_defaults():
+    program = [ast.parse(path.read_text()) for path in SOURCES]
+    bench = [ast.parse(path.read_text()) for path in sorted(BENCH.glob("*.py"))]
+    assert defaults_for_tests_only(program, [*program, *bench]) == sorted(
+        TEST_ONLY_DEFAULTS
+    )
 
 
 def test_guard_sees_an_assert():

@@ -4,10 +4,15 @@ import pytest
 
 from certificate_oracles import composite_epi_certified
 from corpus_sites import CORPUS_SITES, corpus_presheaves, corpus_site
-from subobject_order import subsheaf_join, subsheaf_leq
+from subobject_order import subsheaf_join, subsheaf_leq, subsheaf_meet
 from qsheaf import cli, reflect, sheaf
 from qsheaf.checks import CheckEntry
-from qsheaf.coverage import canonical_quantale_coverage, product_coverage
+from qsheaf.coverage import (
+    CoverFamily,
+    Coverage,
+    canonical_quantale_coverage,
+    product_coverage,
+)
 from qsheaf.errors import (
     InternalDefect,
     InvalidSpec,
@@ -17,8 +22,10 @@ from qsheaf.errors import (
 )
 from qsheaf.moncat import ThinCategory, canon
 from qsheaf.presheaf import (
+    Presheaf,
     PresheafMorphism,
     day_convolve,
+    day_projections,
     hom_presheaves,
     iso_presheaves,
     parse_presheaf,
@@ -115,7 +122,8 @@ class TestSheafify:
         assert result.iterations == 1 and result.converged
         assert len(result.history) == 1
         assert iso_presheaves(result.sheaf, yoneda(site, "h")) is not None
-        report = certify_reflection(luk3_sep(site), result, cov)
+        battery = enumerate_sheaves(site, cov, max_size=2)
+        report = certify_reflection(luk3_sep(site), result, cov, battery)
         assert report.ok, report.failures()
         # uncounted entries under no heading
         assert report.heading is None
@@ -138,7 +146,8 @@ class TestSheafify:
         assert result.converged and result.iterations == 3
         sizes = {u: len(result.sheaf.value(u)) for u in ("{}", "{x}", "{y}", "{xy}")}
         assert sizes == {"{}": 1, "{x}": 2, "{y}": 2, "{xy}": 4}
-        report = certify_reflection(const, result, cov)
+        battery = enumerate_sheaves(site, cov, max_size=2)
+        report = certify_reflection(const, result, cov, battery)
         assert report.ok, report.failures()
 
     def test_iteration_bound_reported_not_raised(self):
@@ -368,7 +377,7 @@ class TestSubobjects:
             for i in range(n):
                 for j in range(n):
                     assert subsheaf_leq(lattice, i, j) == q.leq(elems[i], elems[j])
-                    assert elems[lattice.meet(i, j)] == q.meet(
+                    assert elems[subsheaf_meet(lattice, i, j)] == q.meet(
                         elems[i], elems[j]
                     )
                     assert elems[subsheaf_join(lattice, i, j)] == q.join(
@@ -406,7 +415,7 @@ class TestStar:
         ]:
             q, site, cov = site_of(name, param)
             lattice = subsheaf_lattice(terminal_presheaf(site), cov)
-            battery = enumerate_sheaves(site, cov, max_size=2)
+            battery, hom_table = enumerate_sheaves(site, cov, max_size=2), {}
             elems = [support_element(q, site, m) for m in lattice.members]
             for i in range(len(elems)):
                 for j in range(len(elems)):
@@ -416,6 +425,7 @@ class TestStar:
                         cov,
                         lattice=lattice,
                         battery=battery,
+                        hom_table=hom_table,
                     )
                     assert fact.epi_certified
                     got = support_element(q, site, fact.mono.src)
@@ -429,19 +439,101 @@ class TestStar:
         lattice = subsheaf_lattice(terminal_presheaf(site), cov)
         elems = [support_element(q, site, m) for m in lattice.members]
         i = elems.index("h")
+        battery = enumerate_sheaves(site, cov, max_size=2)
         fact = star(lattice.inclusions[i], lattice.inclusions[i], cov,
-                    lattice=lattice)
+                    lattice=lattice, battery=battery, hom_table={})
         assert support_element(q, site, fact.mono.src) == "0"
         assert q.meet("h", "h") == "h"
+
+    def test_one_hom_list_out_of_the_reflection_per_cell(self, monkeypatch):
+        """Both maps out of a(A (x) B) come from one list of its homs into F."""
+        q, site, cov = site_of("lukasiewicz_chain", 3)
+        f = terminal_presheaf(site)
+        lattice = subsheaf_lattice(f, cov)
+        listed = []
+        hom = reflect.hom_presheaves
+
+        def recording(src, dst):
+            listed.append(dst)
+            return hom(src, dst)
+
+        monkeypatch.setattr(reflect, "hom_presheaves", recording)
+        n = len(lattice.members)
+        for i in range(n):
+            for j in range(n):
+                star(lattice.inclusions[i], lattice.inclusions[j], cov,
+                     lattice, [], {})
+        assert listed == [f] * n * n
+
+    def test_star_reflects_before_it_takes_the_image(self):
+        """The image of a(A (x) B) in F holds a section that the image of
+        A (x) B does not: the glue point over {(h,0), (0,1)} -> (h,1) lies
+        below (h,1) at (h,h) but below neither leg there, and its two images
+        in F agree only there."""
+        luk3 = site_of("lukasiewicz_chain", 3)[1]
+        site = ThinCategory.product(luk3, luk3)
+        covers = [CoverFamily(u, [site.identity(u)]) for u in site.objects()]
+        covers.append(CoverFamily(("h", "1"), [
+            site.arrow(("h", "0"), ("h", "1")), site.arrow(("0", "1"), ("h", "1")),
+        ]))
+        cov = Coverage(site, covers)
+        common = {("0", "0"): ["*"], ("h", "0"): ["*"], ("0", "h"): ["*"],
+                  ("h", "h"): ["s"]}
+
+        def tables(values):
+            at = {u: values.get(u, []) for u in site.objects()}
+            res = {
+                (v, u): {x: x.rstrip("'") if v == ("0", "1") else at[v][0]
+                         for x in at[u]}
+                for v, u in site.pairs()
+                if v != u
+            }
+            return at, res
+
+        f = Presheaf(site, *tables({
+            **common, ("0", "1"): ["m", "n"], ("h", "1"): ["m'", "n'"],
+            ("1", "0"): ["r"],
+        }))
+        lattice = subsheaf_lattice(f, cov)
+        members = [m.to_raw() for m in lattice.members]
+        a = members.index(Presheaf(site, *tables({
+            **common, ("0", "1"): ["m"], ("h", "1"): ["m'"], ("1", "0"): ["r"],
+        })).to_raw())
+        b = members.index(Presheaf(site, *tables({
+            **common, ("0", "1"): ["n"], ("h", "1"): ["n'"],
+        })).to_raw())
+        left, right = lattice.inclusions[a], lattice.inclusions[b]
+        fact = star(left, right, cov, lattice, [], {})
+        assert (fact.index, len(members)) == (10, 18)
+        assert fact.mono.src.value(("h", "h")).elements == ("s",)
+        # the image of the Day multiplication itself, read in F
+        conv, p1, p2 = day_projections(left.src, right.src)
+        into_f = p1.then(left), p2.then(right)
+        image = {
+            u: {
+                into_f[0].component(u)(e)
+                for e in conv.value(u)
+                if into_f[0].component(u)(e) == into_f[1].component(u)(e)
+            }
+            for u in site.objects()
+        }
+        assert image[("h", "h")] == set()
+        direct = next(
+            i for i, m in enumerate(lattice.members)
+            if all(image[u] <= set(m.value(u).elements) for u in image)
+        )
+        assert direct == 6
 
     def test_extremal_factorization_composes(self):
         q, site, cov = site_of("lukasiewicz_chain", 3)
         t = terminal_presheaf(site)
         bang = hom_presheaves(yoneda(site, "h"), t)[0]
-        fact = extremal_factorize(bang, cov)
+        lattice = subsheaf_lattice(t, cov)
+        battery = enumerate_sheaves(site, cov, max_size=2)
+        fact = extremal_factorize(bang, lattice, battery, {})
         assert fact.epi.then(fact.mono) == bang
         assert fact.mono.is_mono()
-        assert fact.epi_certified and fact.battery_size >= 4
+        assert fact.epi_certified and len(battery) >= 4
         assert support_element(q, site, fact.mono.src) == "h"
 
 

@@ -9,6 +9,7 @@ import pytest
 from certificate_oracles import per_cover_orthogonal
 from corpus_sites import CORPUS_SITES, corpus, corpus_presheaves, corpus_site
 from equalizer_oracle import one_cover_verdict
+from noncommutative_site import BOTH_OVERLAPS_PRESHEAF_RAW, noncommutative_chain4_raw
 from qsheaf import sheaf
 from qsheaf.coverage import (
     CoverFamily,
@@ -27,7 +28,7 @@ from qsheaf.presheaf import (
     terminal_presheaf,
     yoneda,
 )
-from qsheaf.quantale import build_standard
+from qsheaf.quantale import build_standard, validate_quantale
 from qsheaf.reflect import enumerate_sheaves, sheafify
 from qsheaf.sheaf import (
     VERDICT_PRESHEAF,
@@ -467,6 +468,48 @@ class TestOneCheckPerSieve:
         check_sheaf_orthogonal(terminal_presheaf(site), canonical)
         assert len(built) == len(keys) < len(covers)
         assert {sieve_key(site, cover) for cover in built} == keys
+
+
+class TestBothOverlaps:
+    """Off commutative sites legs i and j can overlap at ``w_ij != w_ji``."""
+
+    @staticmethod
+    def noncommutative_site():
+        q = validate_quantale(noncommutative_chain4_raw())
+        site = ThinCategory.from_quantale(q)
+        return site, canonical_quantale_coverage(q, site)
+
+    def test_a_second_check_only_where_the_overlaps_differ(self):
+        for name in CORPUS_SITES:
+            site, canonical, _ = corpus_site(name)
+            for cover in canonical.all_families():
+                checks = cover.compiled(site).checks
+                assert [len(row) for row in checks] == list(range(len(cover)))
+        site, canonical = self.noncommutative_site()
+        cover = family(site, ["0", "0", "a", "a", "b"], "b")
+        assert [
+            [(i, left[0], right[0]) for i, left, right in row]
+            for row in cover.compiled(site).checks
+        ] == [
+            [],
+            [(0, "0", "0")],
+            [(0, "0", "0"), (1, "0", "0")],
+            [(0, "0", "0"), (1, "0", "0"), (2, "0", "0")],
+            [(0, "0", "0"), (1, "0", "0"), (2, "0", "0"), (2, "a", "a"),
+             (3, "0", "0"), (3, "a", "a")],
+        ]
+
+    def test_the_definitions_agree_cover_by_cover(self):
+        site, canonical = self.noncommutative_site()
+        presheaves = [
+            *enumerate_sheaves(site, canonical, max_size=2),
+            *(yoneda(site, u) for u in site.objects()),
+            parse_presheaf(site, BOTH_OVERLAPS_PRESHEAF_RAW),
+        ]
+        for f in presheaves:
+            assert outcome_counts(check_sheaf_equalizer(f, canonical)) == (
+                outcome_counts(check_sheaf_orthogonal(f, canonical))
+            ), f
 
 
 class TestShift:
