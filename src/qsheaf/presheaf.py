@@ -530,10 +530,10 @@ def sieve_key(site: ThinCategory, cover: CoverFamily) -> tuple:
     numbers, firsts = {}, {}
     for w in site.objects():
         live = [i for i, d in enumerate(doms) if leq(w, d)]
-        number = numbers[w] = {}
+        number = numbers[w] = [None] * len(doms)  # None where a leg is dead
         first = firsts[w] = []
         for i in live:
-            if i in number:
+            if number[i] is not None:
                 continue
             number[i] = len(first)
             first.append(i)
@@ -541,7 +541,7 @@ def sieve_key(site: ThinCategory, cover: CoverFamily) -> tuple:
             while stack:
                 a = stack.pop()
                 for b in live:
-                    if b not in number and (
+                    if number[b] is None and (
                         leq(w, overlaps[a][b]) or leq(w, overlaps[b][a])
                     ):
                         number[b] = number[i]
@@ -570,10 +570,11 @@ def sieve_of(site: ThinCategory, cover: CoverFamily) -> Sieve:
     key = sieve_key(site, cover)
     tags = [finset.tag_label(i, "*") for i in range(len(cover.legs))]
     names = {}  # w -> the name of each class at w, by class number
-    for w, number in cover._sieve_key[2].items():
+    for w, classes in cover._sieve_key[2].items():
         least = {}
-        for i, c in number.items():
-            least[c] = min(least.get(c, tags[i]), tags[i])
+        for tag, c in zip(tags, classes):
+            if c is not None:
+                least[c] = min(least.get(c, tag), tag)
         names[w] = [least[c] for c in range(len(least))]
     at = {w: FinSetObj(reps) for w, reps in names.items()}
     res = {

@@ -208,10 +208,10 @@ def _shared_diagram(f: Presheaf, covers: list, batch: list, verdicts: list):
             tuples.append(t)
             owners.append(idx)
             first_table[k] = overlap_ids.setdefault(
-                (idx, tuple([m[t[i]] for i, m in lefts])), len(overlap_ids)
+                (idx, *[m[t[i]] for i, m in lefts]), len(overlap_ids)
             )
             second_table[k] = overlap_ids.setdefault(
-                (idx, tuple([m[t[j]] for j, m in rights])), len(overlap_ids)
+                (idx, *[m[t[j]] for j, m in rights]), len(overlap_ids)
             )
     leg_obj = FinSetObj(range(len(tuples)))
     pair_obj = FinSetObj(range(len(overlap_ids)))
